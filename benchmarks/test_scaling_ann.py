@@ -30,7 +30,7 @@ import numpy as np
 from repro.core.ann import AnnConfig, flops_counter, generate_candidates, recall_at_k
 from repro.core.config import DESAlignConfig
 from repro.core.model import DESAlign
-from repro.core.similarity import blockwise_topk
+from repro.core.similarity import blockwise_topk, decode_similarity
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.experiments import build_task
 
@@ -119,12 +119,13 @@ def _seed_scale_exactness() -> dict:
     Trainer(model, task, TrainingConfig(epochs=scale.epochs, eval_every=0,
                                         seed=scale.seed)).fit()
     n_clusters = 6
-    exhaustive = model.similarity(decode="blockwise", k=10, block_size=17)
-    complete = model.similarity(
-        candidates="ivf", k=10, block_size=17,
+    exhaustive = decode_similarity(*model.decode_states(), decode="blockwise",
+                                   k=10, block_size=17)
+    complete = decode_similarity(
+        *model.decode_states(), candidates="ivf", k=10, block_size=17,
         ann=AnnConfig(seed=0, n_clusters=n_clusters, nprobe=n_clusters))
-    escalated = model.similarity(
-        candidates="ivf", k=10, block_size=17,
+    escalated = decode_similarity(
+        *model.decode_states(), candidates="ivf", k=10, block_size=17,
         ann=AnnConfig(seed=0, n_clusters=n_clusters, exact_escalation=True))
     return {"exhaustive": exhaustive, "complete": complete,
             "escalated": escalated}

@@ -21,7 +21,7 @@ import numpy as np
 
 from repro.core.config import DESAlignConfig
 from repro.core.model import DESAlign
-from repro.core.similarity import TopKSimilarity, blockwise_topk
+from repro.core.similarity import TopKSimilarity, blockwise_topk, decode_similarity
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.eval.metrics import evaluate_alignment
 from repro.experiments import build_task
@@ -130,9 +130,9 @@ def _seed_scale_decode_comparison() -> dict:
 
     comparisons = {}
     for use_propagation in (True, False):
-        dense = model.similarity(use_propagation=use_propagation, decode="dense")
-        topk = model.similarity(use_propagation=use_propagation,
-                                decode="blockwise", k=10, block_size=17)
+        states = model.decode_states(use_propagation=use_propagation)
+        dense = decode_similarity(*states, decode="dense")
+        topk = decode_similarity(*states, decode="blockwise", k=10, block_size=17)
         comparisons[use_propagation] = (dense, topk)
     return {"task": task, "comparisons": comparisons}
 

@@ -23,6 +23,7 @@ from repro.autograd import no_grad
 from repro.core.config import DESAlignConfig
 from repro.core.model import DESAlign
 from repro.core.propagation import SemanticPropagation
+from repro.core.similarity import decode_similarity
 from repro.core.task import prepare_task
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data.synthetic import SyntheticPairConfig, generate_pair
@@ -150,7 +151,7 @@ def _seed_scale_metrics(backend: str) -> tuple[dict[str, float], np.ndarray]:
                                           seed=scale.seed, backend=backend))
     result = Trainer(model, task, TrainingConfig(
         epochs=scale.epochs, eval_every=0, seed=scale.seed)).fit()
-    return result.metrics.as_dict(), model.similarity()
+    return result.metrics.as_dict(), decode_similarity(*model.decode_states())
 
 
 def test_sparse_backend_matches_dense_on_seed_grid(benchmark):

@@ -4,7 +4,8 @@ Every baseline implements the same minimal aligner interface used by
 :class:`repro.core.trainer.Trainer`:
 
 * ``loss(source_index, target_index)`` — training loss over seed pairs,
-* ``similarity()`` — full source×target similarity matrix for decoding,
+* ``decode_states()`` — the evaluation embeddings that
+  :func:`repro.core.similarity.decode_similarity` decodes,
 * ``parameters()`` / ``num_parameters()`` — inherited from ``Module``.
 
 :class:`ModalBaselineModel` factors the plumbing common to the multi-modal
@@ -19,9 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..autograd import Tensor, no_grad
-from ..core.compat import warn_legacy
 from ..core.config import DEFAULT_ENCODE_BATCH, MODALITY_ORDER
-from ..core.similarity import decode_similarity
 from ..core.losses import bidirectional_contrastive_loss
 from ..core.task import PreparedTask
 from ..kg.sampling import NeighbourSampler, SubgraphView, attention_pattern
@@ -263,11 +262,11 @@ class ModalBaselineModel(Module):
         Mirrors :meth:`repro.core.model.DESAlign.decode_states` so the
         pipeline facade can cache and persist any registered aligner's
         decode inputs uniformly.  ``use_propagation`` means "use the
-        propagation decoder if you have one" and is ignored here exactly as
-        :meth:`similarity` ignores it.  ``encode="sampled"`` computes the
-        joints through batched subgraph forwards — available to baselines
-        implementing :meth:`joint_from_modal` with a GNN channel (GCN-Align,
-        EVA); entity-coupled baselines raise from that hook instead.
+        propagation decoder if you have one" and is ignored here.
+        ``encode="sampled"`` computes the joints through batched subgraph
+        forwards — available to baselines implementing
+        :meth:`joint_from_modal` with a GNN channel (GCN-Align, EVA);
+        entity-coupled baselines raise from that hook instead.
         """
         del use_propagation  # no propagation decoder: single-state decode
         if encode not in {"full", "sampled"}:
@@ -280,40 +279,3 @@ class ModalBaselineModel(Module):
             source = self.joint_embedding("source").numpy()
             target = self.joint_embedding("target").numpy()
         return [source], [target]
-
-    def similarity(self, use_propagation: bool = False, decode: str = "auto",
-                   k: int = 10, block_size: int | None = None,
-                   encode: str = "full", encode_batch_size: int | None = None,
-                   candidates: str = "exhaustive", ann=None):
-        """Cosine similarity between joint embeddings (no propagation decoder).
-
-        Routes through the shared decoding engine: ``decode="dense"``
-        returns the full matrix, ``"blockwise"`` a streaming top-k decode,
-        ``"auto"`` switches on the task size; ``candidates="ivf" | "lsh"``
-        restricts the streaming decode to approximate candidate sets
-        (seeded from this baseline's config unless the
-        :class:`~repro.core.ann.AnnConfig` pins its own seed).  Non-default
-        switches outside the facade emit a ``DeprecationWarning`` with the
-        spec equivalent.
-        """
-        if decode != "auto" or candidates != "exhaustive" or encode != "full":
-            warn_legacy(
-                f"{type(self).__name__}.similarity(decode={decode!r}, "
-                f"encode={encode!r}, candidates={candidates!r})",
-                f"declare DecodeSpec(decode={decode!r}, encode={encode!r}, "
-                f"candidates={candidates!r}) in PipelineSpec.decode and call "
-                "Aligner.align() / Aligner.evaluate()")
-        [source], [target] = self.decode_states(
-            encode=encode, encode_batch_size=encode_batch_size)
-        ann = self._resolve_ann(candidates, ann)
-        return decode_similarity(source, target, decode=decode, k=k,
-                                 block_size=block_size, candidates=candidates,
-                                 ann=ann)
-
-    def _resolve_ann(self, candidates: str, ann):
-        """Default the candidate generator's seed to this model's seed."""
-        if candidates == "exhaustive":
-            return ann
-        from ..core.ann import resolve_ann
-
-        return resolve_ann(ann, self.config.seed)

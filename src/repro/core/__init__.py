@@ -1,7 +1,6 @@
 """DESAlign core: configuration, encoder, losses, propagation, model and trainer."""
 
 from . import rules
-from .compat import in_spec_context, spec_driven, warn_legacy
 from .registries import (
     CANDIDATE_REGISTRY,
     MODEL_REGISTRY,
@@ -62,9 +61,6 @@ from .trainer import (
 
 __all__ = [
     "rules",
-    "spec_driven",
-    "in_spec_context",
-    "warn_legacy",
     "CANDIDATE_REGISTRY",
     "MODEL_REGISTRY",
     "TRAINING_LOOP_REGISTRY",

@@ -24,6 +24,7 @@ from scipy.sparse.linalg import splu
 
 from ..kg.laplacian import graph_laplacian, normalized_adjacency
 from ..kg.sparse import graph_laplacian_sparse, normalized_adjacency_sparse
+from .ann import _normalize_rows
 
 __all__ = ["SemanticPropagation", "PropagationResult", "closed_form_interpolation"]
 
@@ -47,9 +48,7 @@ class PropagationResult:
 
 
 def _cosine_similarity(source: np.ndarray, target: np.ndarray) -> np.ndarray:
-    source_norm = source / np.maximum(np.linalg.norm(source, axis=1, keepdims=True), 1e-12)
-    target_norm = target / np.maximum(np.linalg.norm(target, axis=1, keepdims=True), 1e-12)
-    return source_norm @ target_norm.T
+    return _normalize_rows(source) @ _normalize_rows(target).T
 
 
 def closed_form_interpolation(features: np.ndarray, adjacency,

@@ -6,7 +6,7 @@ under the string name a :class:`~repro.pipeline.PipelineSpec` refers to it
 by.  The registries are the single dispatch point: ``build_model`` /
 ``build_training_loop`` / ``generate_candidates`` all resolve their string
 switches through these tables, so a third-party component registered with
-one decorator call plugs into the facade, the legacy kwarg paths, the CLI
+one decorator call plugs into the facade, the Trainer engine, the CLI
 and the experiment harness alike.
 
 This module deliberately imports nothing from the rest of the package so

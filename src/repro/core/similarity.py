@@ -43,6 +43,7 @@ from .ann import (
     count_dot_products,
     generate_candidates,
 )
+from .propagation import _cosine_similarity
 
 __all__ = [
     "TopKSimilarity",
@@ -88,29 +89,45 @@ def resolve_candidates(candidates: str, decode: str) -> None:
     rules.check_candidates_decode(candidates, decode)
 
 
-def decode_similarity(source: np.ndarray, target: np.ndarray,
-                      decode: str = "auto", k: int = 10,
+def decode_similarity(source, target, decode: str = "auto", k: int = 10,
                       block_size: int | None = None, dtype=np.float64,
                       candidates: str = "exhaustive",
-                      ann: AnnConfig | None = None):
-    """One-shot decode dispatch shared by models without a propagation decoder.
+                      ann: AnnConfig | None = None, warm_start=None):
+    """The decode router: every model-level decode goes through here.
 
-    Returns the dense cosine matrix or a streaming :func:`blockwise_topk`
-    according to ``resolve_decode`` on the embedding shapes.
-    ``candidates="ivf" | "lsh"`` additionally restricts the streamed decode
-    to approximate candidate sets (see :mod:`repro.core.ann`), forcing the
-    blockwise path regardless of shape.
+    ``source`` / ``target`` are the per-round state lists a model's
+    ``decode_states()`` returns (a bare matrix is one round).  The decode
+    averages the per-round cosine similarities (Algorithm 1, line 15):
+
+    * ``decode="dense"`` materialises that average, bit-identical to
+      :meth:`repro.core.propagation.SemanticPropagation.__call__`;
+    * ``decode="blockwise"`` streams it through :func:`blockwise_topk`;
+    * ``candidates="ivf" | "lsh"`` first generates approximate candidate
+      sets (see :mod:`repro.core.ann`), forcing the blockwise path.
+      ``warm_start`` carries an :class:`~repro.core.ann.IVFWarmStart`
+      across repeated decodes so the IVF quantiser re-fits from the
+      previous centroids.
+
+    ``"auto"`` stays dense up to :data:`DENSE_DECODE_CELL_LIMIT` cells.
+    An ``ann`` config without a seed uses seed 0; callers that own a seed
+    resolve it first (:func:`repro.core.ann.resolve_ann`).
     """
     resolve_candidates(candidates, decode)
+    source_states = _as_state_list(source)
+    target_states = _as_state_list(target)
+    row_candidates = None
     if candidates != "exhaustive":
-        row_candidates = generate_candidates(candidates, source, target, ann)
-        return blockwise_topk(source, target, k=k, block_size=block_size,
-                              dtype=dtype, row_candidates=row_candidates)
-    if resolve_decode(decode, (len(source), len(target))) == "dense":
-        source_norm = _normalize_rows(source)
-        target_norm = _normalize_rows(target)
-        return source_norm @ target_norm.T
-    return blockwise_topk(source, target, k=k, block_size=block_size, dtype=dtype)
+        row_candidates = generate_candidates(candidates, source_states,
+                                             target_states, ann,
+                                             warm_start=warm_start)
+    elif resolve_decode(decode, (len(source_states[0]),
+                                 len(target_states[0]))) == "dense":
+        return np.mean([_cosine_similarity(source_state, target_state)
+                        for source_state, target_state
+                        in zip(source_states, target_states)], axis=0)
+    return blockwise_topk(source_states, target_states, k=k,
+                          block_size=block_size, dtype=dtype,
+                          row_candidates=row_candidates)
 
 
 def _as_state_list(states) -> list[np.ndarray]:

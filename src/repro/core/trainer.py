@@ -22,8 +22,8 @@ strategy selected by ``TrainingConfig.sampling``:
 
 Every aligner in this repository (DESAlign and the baselines) exposes the
 same minimal interface — ``loss(source_index, target_index)``,
-``similarity()`` and ``parameters()`` — so a single :class:`Trainer` covers
-the whole model zoo and the experiment harness stays uniform; the
+``decode_states()`` and ``parameters()`` — so a single :class:`Trainer`
+covers the whole model zoo and the experiment harness stays uniform; the
 neighbour strategy additionally requires ``subgraph_loss`` and
 ``neighbour_sampler`` (DESAlign implements both).
 """
@@ -37,14 +37,14 @@ import numpy as np
 
 from ..autograd import Tensor
 from ..data.loader import SeedPairLoader, epoch_order
-from ..eval.evaluator import Evaluator, filter_supported_kwargs
+from ..eval.evaluator import Evaluator
 from ..eval.metrics import AlignmentMetrics
 from ..nn import AdamW, CosineWarmupSchedule, EarlyStopping, GradientClipper
 from .alignment import mutual_nearest_pairs
 from .ann import AnnConfig, IVFWarmStart, resolve_ann
-from .compat import spec_driven, warn_legacy
 from .config import TrainingConfig
 from .registries import TRAINING_LOOP_REGISTRY, register_training_loop
+from .similarity import decode_similarity
 from .energy import EnergyMonitor
 from .task import PreparedTask
 
@@ -89,10 +89,11 @@ def _loss_total(value) -> Tensor:
 class TrainingLoop:
     """Strategy object: how batches form, how a loss is computed, how to evaluate.
 
-    Subclasses implement :meth:`epoch_batches`, :meth:`batch_loss`,
-    :meth:`_evaluate` and :meth:`model_similarity`; the optimisation
-    skeleton (:meth:`train_phase`) — optimiser, schedule, clipping, the
-    periodic-evaluation cadence and early stopping — is shared.
+    Subclasses implement :meth:`_build_evaluator`, :meth:`epoch_batches`
+    and :meth:`batch_loss`; the optimisation skeleton (:meth:`train_phase`)
+    — optimiser, schedule, clipping, the periodic-evaluation cadence and
+    early stopping — and the pseudo-seed decode (:meth:`model_similarity`)
+    are shared.
     """
 
     name = "abstract"
@@ -124,8 +125,17 @@ class TrainingLoop:
         raise NotImplementedError
 
     def model_similarity(self):
-        """Similarity artefact feeding the iterative mutual-NN selection."""
-        raise NotImplementedError
+        """Similarity artefact feeding the iterative mutual-NN selection.
+
+        Decodes the propagated states with the loop's evaluator encode
+        path plus :meth:`pseudo_seed_decode_kwargs`.
+        """
+        evaluator = self.evaluator
+        states = self.model.decode_states(
+            True, encode=evaluator.encode,
+            encode_batch_size=evaluator.encode_batch_size)
+        return decode_similarity(*states, decode=evaluator.decode,
+                                 **self.pseudo_seed_decode_kwargs())
 
     def record_energy(self, monitor: EnergyMonitor, epoch: int) -> None:
         """Log a Dirichlet-energy snapshot (no-op where it would defeat sampling)."""
@@ -159,8 +169,8 @@ class TrainingLoop:
         # The warm start re-fits each round's quantiser from the previous
         # round's centroids; escalation keeps the selection provably exact,
         # so the pseudo-seed pairs are independent of the centroid history.
-        return {"decode": "blockwise", "candidates": "ivf", "ann": ann,
-                "ann_warm_start": self._ann_warm_start}
+        return {"candidates": "ivf", "ann": ann,
+                "warm_start": self._ann_warm_start}
 
     # -- shared skeleton ------------------------------------------------
     def evaluate(self) -> AlignmentMetrics:
@@ -242,17 +252,6 @@ class FullGraphLoop(TrainingLoop):
     def batch_loss(self, batch: np.ndarray) -> Tensor:
         return _loss_total(self.model.loss(batch[:, 0], batch[:, 1]))
 
-    def model_similarity(self):
-        # Forward use_propagation only when the signature accepts it — the
-        # same inspection Evaluator.evaluate_model uses, so a TypeError
-        # raised *inside* the decode surfaces instead of silently retrying
-        # without propagation.
-        kwargs = filter_supported_kwargs(self.model.similarity,
-                                         use_propagation=True,
-                                         **self.pseudo_seed_decode_kwargs())
-        with spec_driven():
-            return self.model.similarity(**kwargs)
-
     def record_energy(self, monitor: EnergyMonitor, epoch: int) -> None:
         if hasattr(self.model, "encode"):
             monitor.record(epoch, self.model.encode("source"))
@@ -305,14 +304,6 @@ class NeighbourSampledLoop(TrainingLoop):
             batch.pairs[:, 0], batch.pairs[:, 1],
             source_local=batch.source_index, target_local=batch.target_index))
 
-    def model_similarity(self):
-        kwargs = {"use_propagation": True, "decode": "blockwise",
-                  "encode": "sampled",
-                  "encode_batch_size": self.config.eval_batch_size}
-        kwargs.update(self.pseudo_seed_decode_kwargs())
-        with spec_driven():
-            return self.model.similarity(**kwargs)
-
     # Recording energy would require a full-graph encoder pass, which this
     # strategy exists to avoid; record_energy stays the base no-op, and
     # Trainer.__init__ rejects an energy monitor paired with this loop.
@@ -338,20 +329,13 @@ def build_training_loop(model, task: PreparedTask, config: TrainingConfig,
 class Trainer:
     """Generic trainer for entity-alignment models on a prepared task.
 
-    This is the optimisation *engine*; as a user-facing entry point it is
-    deprecated in favour of the declarative facade
-    (:class:`repro.pipeline.AlignmentPipeline`), which drives this very
-    class internally and adds spec validation, artifact persistence and
-    decode caching on top.
+    This is the optimisation *engine*; the declarative facade
+    (:class:`repro.pipeline.AlignmentPipeline`) drives this very class and
+    adds spec validation, artifact persistence and decode caching on top.
     """
 
     def __init__(self, model, task: PreparedTask, config: TrainingConfig | None = None,
                  energy_monitor: EnergyMonitor | None = None):
-        warn_legacy(
-            "Trainer(model, task, config)",
-            "spec = PipelineSpec(model=ModelSpec(name=<registry name>), "
-            "training=<this TrainingConfig>); "
-            "AlignmentPipeline.from_spec(spec).fit(task) — see repro.pipeline")
         self.model = model
         self.task = task
         self.config = config or TrainingConfig()

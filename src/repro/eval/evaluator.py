@@ -2,36 +2,15 @@
 
 from __future__ import annotations
 
-import inspect
 import time
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from ..core import rules
-from ..core.compat import spec_driven
+from ..core.similarity import decode_similarity
 from ..core.task import PreparedTask
 from .metrics import AlignmentMetrics, evaluate_alignment
 
-__all__ = ["Evaluator", "TimingResult", "filter_supported_kwargs", "time_callable"]
-
-
-def filter_supported_kwargs(fn, **candidates) -> dict:
-    """Keep only the keyword arguments ``fn``'s signature accepts.
-
-    The signature is inspected once rather than probing with retries that
-    could swallow a genuine TypeError raised inside ``fn`` itself; builtins
-    and C callables without an inspectable signature receive no kwargs.
-    Shared by :meth:`Evaluator.evaluate_model` and the training loops so a
-    keyword added to ``model.similarity`` is forwarded consistently.
-    """
-    try:
-        parameters = inspect.signature(fn).parameters
-    except (TypeError, ValueError):  # builtins / C callables
-        return {}
-    if any(p.kind is inspect.Parameter.VAR_KEYWORD for p in parameters.values()):
-        return dict(candidates)
-    return {key: value for key, value in candidates.items() if key in parameters}
+__all__ = ["Evaluator", "TimingResult", "time_callable"]
 
 
 @dataclass
@@ -39,14 +18,17 @@ class Evaluator:
     """Evaluate similarities against a prepared task's test split.
 
     Accepts both full similarity matrices and streaming
-    :class:`~repro.core.similarity.TopKSimilarity` decodes; ``decode``,
-    ``encode`` and ``encode_batch_size`` are forwarded to models whose
-    ``similarity()`` supports them, so large tasks evaluate without ever
-    materialising the ``n_s x n_t`` matrix (``decode="blockwise"``) or a
-    full-graph encoder pass (``encode="sampled"``, the neighbour-sampled
-    training pipeline's inference path).  ``ranking="csls"`` ranks on
-    CSLS-rescaled similarities — exactly, for dense and streaming decodes
-    alike.  ``candidates="ivf" | "lsh"`` (with an optional
+    :class:`~repro.core.similarity.TopKSimilarity` decodes.  A model is
+    scored by decoding its ``decode_states()`` through
+    :func:`~repro.core.similarity.decode_similarity`: ``encode`` and
+    ``encode_batch_size`` go to ``decode_states()``, ``decode``,
+    ``candidates`` and ``ann`` to the decode, so large tasks evaluate
+    without ever materialising the ``n_s x n_t`` matrix
+    (``decode="blockwise"``) or a full-graph encoder pass
+    (``encode="sampled"``, the neighbour-sampled training pipeline's
+    inference path).  ``ranking="csls"`` ranks on CSLS-rescaled
+    similarities — exactly, for dense and streaming decodes alike.
+    ``candidates="ivf" | "lsh"`` (with an optional
     :class:`~repro.core.ann.AnnConfig`) further restricts streaming decodes
     to approximate candidate sets; such decodes are scored with honest
     recall-style ranks and refuse CSLS ranking rather than degrade
@@ -80,23 +62,11 @@ class Evaluator:
                                   ranking=self.ranking)
 
     def evaluate_model(self, model, use_propagation: bool = True) -> AlignmentMetrics:
-        """Score any model exposing ``similarity()``.
-
-        The ``use_propagation`` / ``decode`` / ``encode`` keywords are
-        forwarded only when the model's signature accepts them (see
-        :func:`filter_supported_kwargs`).
-        """
-        forwarded = {"use_propagation": use_propagation, "decode": self.decode,
-                     "encode": self.encode}
-        if self.encode_batch_size is not None:
-            forwarded["encode_batch_size"] = self.encode_batch_size
-        if self.candidates != "exhaustive":
-            forwarded["candidates"] = self.candidates
-            if self.ann is not None:
-                forwarded["ann"] = self.ann
-        kwargs = filter_supported_kwargs(model.similarity, **forwarded)
-        with spec_driven():
-            similarity = model.similarity(**kwargs)
+        """Score any model exposing ``decode_states()``."""
+        similarity = decode_similarity(
+            *model.decode_states(use_propagation, encode=self.encode,
+                                 encode_batch_size=self.encode_batch_size),
+            decode=self.decode, candidates=self.candidates, ann=self.ann)
         return self.evaluate_similarity(similarity)
 
 

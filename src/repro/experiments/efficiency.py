@@ -40,12 +40,11 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 import numpy as np
 
 from ..core.alignment import cosine_similarity, csls_similarity, mutual_nearest_pairs
-from ..core.ann import AnnConfig, flops_counter, generate_candidates, recall_at_k
-from ..core.compat import spec_driven
+from ..core.ann import AnnConfig, flops_counter, recall_at_k
 from ..core.config import DESAlignConfig, TrainingConfig
 from ..core.model import DESAlign
 from ..core.propagation import SemanticPropagation
-from ..core.similarity import blockwise_topk
+from ..core.similarity import blockwise_topk, decode_similarity
 from ..core.task import prepare_task
 from ..core.trainer import Trainer
 from ..data.synthetic import SyntheticPairConfig, generate_pair
@@ -198,12 +197,9 @@ def _topk_decode(source: np.ndarray, target: np.ndarray, candidates: str):
     index construction included — counted via :func:`flops_counter`.
     """
     with flops_counter() as counter:
-        row_candidates = None
-        if candidates != "exhaustive":
-            row_candidates = generate_candidates(
-                candidates, source, target, AnnConfig(seed=0))
-        topk = blockwise_topk(source, target, k=10, block_size=512,
-                              row_candidates=row_candidates)
+        topk = decode_similarity(source, target, decode="blockwise", k=10,
+                                 block_size=512, candidates=candidates,
+                                 ann=AnnConfig(seed=0))
     return topk, counter.cells
 
 
@@ -298,16 +294,14 @@ def _profile_sharded_decode_paths(result: ExperimentResult, dataset: str,
 def _training_pipeline(task, sampling: str, fanouts):
     """Train a fresh DESAlign on ``task`` with one training strategy.
 
-    Uses the Trainer engine directly (the profiler wants no facade layers
-    between the timer and the loop) inside ``spec_driven()`` so the
-    legacy-API deprecation shim stays silent on library-internal plumbing.
+    Uses the Trainer engine directly: the profiler wants no facade layers
+    between the timer and the loop.
     """
     model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=2,
                                           seed=0, backend="sparse"))
     config = TrainingConfig(epochs=2, eval_every=0, seed=0, batch_size=256,
                             sampling=sampling, fanouts=fanouts)
-    with spec_driven():
-        return Trainer(model, task, config).fit()
+    return Trainer(model, task, config).fit()
 
 
 def _profile_training_paths(result: ExperimentResult,

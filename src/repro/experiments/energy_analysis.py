@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..core.compat import spec_driven
 from ..core.config import DESAlignConfig
 from ..core.energy import EnergyMonitor
 from ..core.propagation import SemanticPropagation
@@ -39,10 +38,8 @@ def _train_with_monitor(task, config: DESAlignConfig, scale: ExperimentScale,
     training = TrainingConfig(epochs=scale.epochs, eval_every=max(1, scale.epochs // 6),
                               seed=scale.seed)
     # The energy monitor hooks into the Trainer engine directly (the facade
-    # carries no monitor yet); spec_driven() keeps the deprecation shim
-    # quiet on this library-internal call.
-    with spec_driven():
-        Trainer(model, task, training, energy_monitor=monitor).fit()
+    # carries no monitor yet).
+    Trainer(model, task, training, energy_monitor=monitor).fit()
     for snapshot in monitor.history:
         result.add_row(
             variant=label,

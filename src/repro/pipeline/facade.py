@@ -16,9 +16,7 @@ IVF/LSH candidate generation):
 
 Internally ``fit`` drives ``prepare_task``, the registered model builders,
 the pluggable :class:`~repro.core.trainer.TrainingLoop` strategies, the
-:class:`~repro.eval.Evaluator` and the streaming decode stack — all inside
-:func:`~repro.core.compat.spec_driven`, so the legacy deprecation shims
-stay silent on the facade's own plumbing.
+:class:`~repro.eval.Evaluator` and the streaming decode stack.
 
 The :class:`Aligner` caches the evaluation embeddings (per-propagation-round
 state lists) and the fitted candidate structure (e.g. the IVF inverted
@@ -42,7 +40,6 @@ import numpy as np
 
 from ..core.ann import (RowCandidates, _normalize_rows, generate_candidates,
                         resolve_ann)
-from ..core.compat import spec_driven
 from ..core.registries import build_model_from_spec
 from ..core.similarity import (DEFAULT_BLOCK_SIZE, TopKSimilarity,
                                _blockwise_topk_candidates, blockwise_topk)
@@ -195,8 +192,7 @@ class AlignmentPipeline:
         """Prepare, train and evaluate; returns the fitted :class:`Aligner`."""
         task = self.build_task(pair)
         model = self.build_model(task)
-        with spec_driven():
-            result = Trainer(model, task, self.spec.training).fit()
+        result = Trainer(model, task, self.spec.training).fit()
         return Aligner(self.spec, task=task, model=model, result=result)
 
 
@@ -279,11 +275,10 @@ class Aligner:
                     "this aligner holds no model and no cached decode states; "
                     "load() an artifact saved by save() or fit() a pipeline")
             decode = self.spec.decode
-            with spec_driven():
-                self._states = self.model.decode_states(
-                    use_propagation=decode.use_propagation,
-                    encode=decode.encode,
-                    encode_batch_size=decode.encode_batch_size)
+            self._states = self.model.decode_states(
+                use_propagation=decode.use_propagation,
+                encode=decode.encode,
+                encode_batch_size=decode.encode_batch_size)
         return self._states
 
     def row_candidates(self) -> RowCandidates | None:
@@ -515,9 +510,8 @@ class Aligner:
                 ranking=decode.ranking, candidates=decode.candidates,
                 ann=(resolve_ann(decode.ann, self.spec.training.seed)
                      if decode.candidates != "exhaustive" else None))
-            with spec_driven():
-                return evaluator.evaluate_model(
-                    self.model, use_propagation=decode.use_propagation)
+            return evaluator.evaluate_model(
+                self.model, use_propagation=decode.use_propagation)
         if self._test_pairs is None:
             raise RuntimeError("this aligner carries no test pairs to evaluate on")
         return evaluate_alignment(self.topk(), self._test_pairs,

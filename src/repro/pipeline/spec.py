@@ -163,12 +163,14 @@ class ModelSpec:
 class DecodeSpec:
     """How the fitted aligner produces and ranks test-time similarities.
 
-    Mirrors the keyword surface that used to be threaded through
-    ``model.similarity`` / ``Evaluator``: decode engine (``dense`` /
-    ``blockwise`` / ``auto``), stored neighbours ``k``, encoder path
-    (``full`` / ``sampled`` + batch size), ranking (``cosine`` / ``csls``)
-    and candidate generation (``exhaustive`` or a registered generator,
-    with an optional :class:`~repro.core.ann.AnnConfig`).
+    The encoder path (``full`` / ``sampled`` + batch size) and
+    ``use_propagation`` select the model's ``decode_states()``; the decode
+    engine (``dense`` / ``blockwise`` / ``auto``) and candidate generation
+    (``exhaustive`` or a registered generator, with an optional
+    :class:`~repro.core.ann.AnnConfig`) select the
+    :func:`~repro.core.similarity.decode_similarity` branch.  ``k`` is the
+    number of neighbours ``align`` / ``rank`` keep and ``ranking``
+    (``cosine`` / ``csls``) how test pairs are scored.
 
     ``num_workers`` shards the full-table decode across that many forked
     worker processes (:mod:`repro.core.sharded`) — bit-identical to the

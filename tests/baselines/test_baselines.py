@@ -15,6 +15,7 @@ from repro.baselines import (
     build_model,
 )
 from repro.core import Trainer, TrainingConfig
+from repro.core.similarity import decode_similarity
 from repro.eval import Evaluator
 
 
@@ -62,7 +63,7 @@ class TestAlignerInterface:
     @pytest.mark.parametrize("name", ALL_BASELINE_NAMES)
     def test_similarity_shape_and_finiteness(self, name, tiny_task):
         model = build_model(name, tiny_task)
-        similarity = model.similarity()
+        similarity = decode_similarity(*model.decode_states())
         assert similarity.shape == (tiny_task.source.num_entities,
                                     tiny_task.target.num_entities)
         assert np.isfinite(similarity).all()

@@ -15,6 +15,7 @@ from repro.core.ann import (
     flops_counter,
     generate_candidates,
     recall_at_k,
+    resolve_ann,
 )
 from repro.core.similarity import blockwise_topk, decode_similarity
 from repro.eval.evaluator import Evaluator
@@ -380,21 +381,24 @@ class TestDecodeDispatch:
 
     def test_model_similarity_candidates(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        exact = model.similarity(decode="blockwise", k=10)
-        approx = model.similarity(candidates="ivf",
-                                  ann=AnnConfig(nprobe=2, seed=0))
+        exact = decode_similarity(*model.decode_states(), decode="blockwise", k=10)
+        approx = decode_similarity(*model.decode_states(), candidates="ivf",
+                                   ann=AnnConfig(nprobe=2, seed=0))
         assert approx.approximate
         assert recall_at_k(approx.indices, exact.indices, k=1) > 0.3
-        escalated = model.similarity(
-            candidates="ivf", ann=AnnConfig(exact_escalation=True, seed=0))
+        escalated = decode_similarity(*model.decode_states(), candidates="ivf",
+                                      ann=AnnConfig(exact_escalation=True, seed=0))
         assert recall_at_k(escalated.indices, exact.indices, k=1) == 1.0
         with pytest.raises(ValueError):
-            model.similarity(decode="dense", candidates="ivf")
+            decode_similarity(*model.decode_states(), decode="dense", candidates="ivf")
 
     def test_model_ann_seed_defaults_to_model_seed(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=3))
-        first = model.similarity(candidates="ivf")
-        second = model.similarity(candidates="ivf")
+        # The decode owns no seed: the caller that owns one resolves it.
+        ann = resolve_ann(None, model.config.seed)
+        assert ann.seed == 3
+        first = decode_similarity(*model.decode_states(), candidates="ivf", ann=ann)
+        second = decode_similarity(*model.decode_states(), candidates="ivf", ann=ann)
         assert np.array_equal(first.indices, second.indices)
         assert np.array_equal(first.scores, second.scores)
 
@@ -414,13 +418,14 @@ class TestDecodeDispatch:
         from repro.baselines import build_model
 
         model = build_model("EVA", tiny_task)
-        exact = model.similarity(decode="blockwise", k=10)
-        narrow = model.similarity(decode="blockwise", k=10, candidates="ivf",
-                                  ann=AnnConfig(nprobe=1, seed=0))
+        exact = decode_similarity(*model.decode_states(), decode="blockwise", k=10)
+        narrow = decode_similarity(*model.decode_states(), decode="blockwise", k=10,
+                                   candidates="ivf", ann=AnnConfig(nprobe=1, seed=0))
         assert narrow.approximate
         assert narrow.computed_cells < exact.computed_cells
-        escalated = model.similarity(decode="blockwise", k=10, candidates="ivf",
-                                     ann=AnnConfig(exact_escalation=True, seed=0))
+        escalated = decode_similarity(*model.decode_states(), decode="blockwise", k=10,
+                                      candidates="ivf",
+                                      ann=AnnConfig(exact_escalation=True, seed=0))
         assert recall_at_k(escalated.indices, exact.indices, k=1) == 1.0
 
 

@@ -10,6 +10,7 @@ from repro.core import (
     TrainingConfig,
     prepare_task,
 )
+from repro.core.similarity import decode_similarity
 from repro.eval import Evaluator
 
 
@@ -27,15 +28,15 @@ class TestDESAlignModel:
 
     def test_similarity_shape(self, tiny_task, quick_config):
         model = DESAlign(tiny_task, quick_config)
-        similarity = model.similarity()
+        similarity = decode_similarity(*model.decode_states())
         assert similarity.shape == (tiny_task.source.num_entities,
                                     tiny_task.target.num_entities)
         assert np.isfinite(similarity).all()
 
     def test_similarity_without_propagation_differs(self, tiny_task, quick_config):
         model = DESAlign(tiny_task, quick_config)
-        with_propagation = model.similarity(use_propagation=True)
-        without = model.similarity(use_propagation=False)
+        with_propagation = decode_similarity(*model.decode_states(use_propagation=True))
+        without = decode_similarity(*model.decode_states(use_propagation=False))
         assert with_propagation.shape == without.shape
         assert not np.allclose(with_propagation, without)
 
@@ -52,7 +53,8 @@ class TestDESAlignModel:
                                                       evaluation_embedding="original"))
         fused = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0,
                                                    evaluation_embedding="fused"))
-        assert not np.allclose(original.similarity(), fused.similarity())
+        assert not np.allclose(decode_similarity(*original.decode_states()),
+                               decode_similarity(*fused.decode_states()))
 
     def test_loss_backward_populates_gradients(self, tiny_task, quick_config):
         model = DESAlign(tiny_task, quick_config)
@@ -65,7 +67,8 @@ class TestDESAlignModel:
         clone = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, feed_forward_dim=32,
                                                    seed=99))
         clone.load_state_dict(state)
-        assert np.allclose(model.similarity(), clone.similarity())
+        assert np.allclose(decode_similarity(*model.decode_states()),
+                           decode_similarity(*clone.decode_states()))
 
 
 class TestTrainer:

@@ -18,6 +18,7 @@ from repro.core.similarity import (
     decode_similarity,
     resolve_decode,
 )
+from repro.eval.evaluator import Evaluator
 from repro.eval.metrics import evaluate_alignment, ranks_from_similarity
 
 
@@ -214,12 +215,13 @@ class TestTopKRanks:
 class TestModelDecode:
     def test_similarity_decode_switch(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        dense = model.similarity(decode="dense")
+        states = model.decode_states()
+        dense = decode_similarity(*states, decode="dense")
         assert isinstance(dense, np.ndarray)
-        topk = model.similarity(decode="blockwise", k=10, block_size=7)
+        topk = decode_similarity(*states, decode="blockwise", k=10, block_size=7)
         assert isinstance(topk, TopKSimilarity)
         # Auto stays dense below the cell threshold on this tiny task.
-        assert isinstance(model.similarity(), np.ndarray)
+        assert isinstance(decode_similarity(*states), np.ndarray)
         metrics_dense = evaluate_alignment(dense, tiny_task.test_pairs)
         metrics_topk = evaluate_alignment(topk, tiny_task.test_pairs)
         assert abs(metrics_dense.mrr - metrics_topk.mrr) < 1e-9
@@ -227,13 +229,43 @@ class TestModelDecode:
 
     def test_decode_topk_without_propagation(self, tiny_task):
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        dense = model.similarity(use_propagation=False, decode="dense")
-        topk = model.decode_topk(use_propagation=False, k=5, block_size=9)
+        states = model.decode_states(use_propagation=False)
+        dense = decode_similarity(*states, decode="dense")
+        topk = decode_similarity(*states, decode="blockwise", k=5, block_size=9)
         assert np.abs(topk.dense() - dense).max() < 1e-9
 
     def test_decode_topk_respects_last_round_rule(self, tiny_task):
         config = DESAlignConfig(hidden_dim=16, seed=0, propagation_average=False)
         model = DESAlign(tiny_task, config)
-        dense = model.similarity(decode="dense")
-        topk = model.decode_topk(k=5, block_size=9)
+        states = model.decode_states()
+        dense = decode_similarity(*states, decode="dense")
+        topk = decode_similarity(*states, decode="blockwise", k=5, block_size=9)
         assert np.abs(topk.dense() - dense).max() < 1e-9
+
+
+class TestOneDecodeRouter:
+    """Oracle: ``decode_similarity`` over ``decode_states()`` is the one
+    decode every model goes through."""
+
+    @pytest.mark.parametrize("average", [True, False])
+    @pytest.mark.parametrize("use_propagation", [True, False])
+    def test_dense_branch_is_bitwise_the_propagation_decoder(
+            self, tiny_task, use_propagation, average):
+        model = DESAlign(tiny_task, DESAlignConfig(
+            hidden_dim=16, seed=0, propagation_average=average))
+        routed = decode_similarity(*model.decode_states(use_propagation),
+                                   decode="dense")
+        oracle = model.decode(use_propagation).final_similarity(average)
+        assert routed.dtype == oracle.dtype
+        assert routed.tobytes() == oracle.tobytes()
+
+    @pytest.mark.parametrize("name", ["TransE", "GCN-align", "PoE", "EVA",
+                                      "MCLEA", "MEAformer", "DESAlign"])
+    def test_every_model_scores_alike_dense_and_blockwise(self, tiny_task, name):
+        from repro.baselines import build_model
+
+        model = build_model(name, tiny_task)
+        dense = Evaluator(tiny_task, decode="dense").evaluate_model(model)
+        blockwise = Evaluator(tiny_task, decode="blockwise").evaluate_model(model)
+        for key, value in dense.as_dict().items():
+            assert abs(blockwise.as_dict()[key] - value) < 1e-9, key

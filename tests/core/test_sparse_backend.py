@@ -8,6 +8,7 @@ from repro.core.config import DESAlignConfig, TrainingConfig
 from repro.core.losses import dirichlet_energy_tensor
 from repro.core.model import DESAlign
 from repro.core.propagation import SemanticPropagation, closed_form_interpolation
+from repro.core.similarity import decode_similarity
 from repro.core.task import prepare_task
 from repro.core.trainer import Trainer
 from repro.autograd import Tensor
@@ -142,5 +143,6 @@ class TestDESAlignBackendSwitch:
         sparse_result = Trainer(sparse_model, sparse_task, training).fit()
         for key, value in dense_result.metrics.as_dict().items():
             assert sparse_result.metrics.as_dict()[key] == pytest.approx(value, abs=1e-6)
-        assert np.allclose(dense_model.similarity(), sparse_model.similarity(),
+        assert np.allclose(decode_similarity(*dense_model.decode_states()),
+                           decode_similarity(*sparse_model.decode_states()),
                            atol=1e-6)

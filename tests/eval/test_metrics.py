@@ -122,9 +122,13 @@ class TestEvaluatorAndTiming:
 
     def test_evaluator_accepts_models_without_propagation_kwarg(self, tiny_task):
         class DummyModel:
-            def similarity(self):
-                return np.random.default_rng(0).normal(
-                    size=(tiny_task.source.num_entities, tiny_task.target.num_entities))
+            """No propagation decoder: ``use_propagation`` is ignored."""
+
+            def decode_states(self, use_propagation=False, encode="full",
+                              encode_batch_size=None):
+                rng = np.random.default_rng(0)
+                return ([rng.normal(size=(tiny_task.source.num_entities, 4))],
+                        [rng.normal(size=(tiny_task.target.num_entities, 4))])
 
         metrics = Evaluator(tiny_task).evaluate_model(DummyModel())
         assert 0.0 <= metrics.mrr <= 1.0

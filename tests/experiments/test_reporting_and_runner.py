@@ -17,6 +17,7 @@ from repro.experiments import (
     run_cell,
     train_model,
 )
+from repro.core.similarity import decode_similarity
 from repro.eval import AlignmentMetrics
 
 
@@ -125,7 +126,7 @@ class TestRunner:
         scale = ExperimentScale(num_entities=40, epochs=2)
         task = build_task("FBDB15K", scale, seed_ratio=0.3)
         model, result = train_model("DESAlign", task, scale)
-        similarity = model.similarity()
+        similarity = decode_similarity(*model.decode_states())
         assert similarity.shape == (40, 40)
         assert np.isfinite(similarity).all()
         assert result.num_parameters == model.num_parameters()

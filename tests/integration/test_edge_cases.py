@@ -19,6 +19,7 @@ from repro import (
     prepare_task,
 )
 from repro.baselines import build_model
+from repro.core.similarity import decode_similarity
 from repro.kg import AlignmentPair, KGPair, MultiModalKG
 
 
@@ -41,7 +42,7 @@ class TestWholeModalityMissing:
         result = Trainer(model, task,
                          TrainingConfig(epochs=3, eval_every=0, seed=0)).fit()
         assert np.isfinite(result.metrics.mrr)
-        assert np.isfinite(model.similarity()).all()
+        assert np.isfinite(decode_similarity(*model.decode_states())).all()
 
     def test_graph_without_any_images_builds_features(self):
         source = _ring_graph(20, "no-img-source", with_images=False)
@@ -64,7 +65,7 @@ class TestAsymmetricGraphs:
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0))
         result = Trainer(model, task,
                          TrainingConfig(epochs=3, eval_every=0, seed=0)).fit()
-        assert model.similarity().shape == (25, 40)
+        assert decode_similarity(*model.decode_states()).shape == (25, 40)
         assert np.isfinite(result.metrics.mrr)
 
     @pytest.mark.parametrize("model_name", ["EVA", "MEAformer"])
@@ -75,7 +76,7 @@ class TestAsymmetricGraphs:
                       seed_ratio=0.4)
         task = prepare_task(pair, seed=0)
         model = build_model(model_name, task)
-        assert model.similarity().shape == (15, 22)
+        assert decode_similarity(*model.decode_states()).shape == (15, 22)
 
 
 class TestExtremeSupervision:
@@ -110,7 +111,7 @@ class TestDegenerateStructure:
         task = prepare_task(pair, seed=0)
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0))
         assert np.isfinite(model.loss().total.item())
-        assert np.isfinite(model.similarity()).all()
+        assert np.isfinite(decode_similarity(*model.decode_states())).all()
 
     def test_propagation_with_every_entity_inconsistent(self):
         # No entity has all modalities: the propagation boundary set is empty
@@ -122,4 +123,4 @@ class TestDegenerateStructure:
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0, propagation_iters=2))
         source_mask, _ = model.propagation_masks()
         assert source_mask.sum() == 0
-        assert np.isfinite(model.similarity()).all()
+        assert np.isfinite(decode_similarity(*model.decode_states())).all()

@@ -1,6 +1,7 @@
-"""Back-compat shims: legacy call patterns warn, keep working, and agree
-with the facade; every consolidated legality rule still rejects from every
-entry surface with its single-source message."""
+"""Engine/facade parity and the consolidated legality rules: the Trainer
+engine and ``decode_similarity`` over ``decode_states()`` agree with the
+facade, and every legality rule rejects from every entry surface with its
+single-source message."""
 
 import warnings
 
@@ -9,6 +10,7 @@ import pytest
 
 from repro.core.config import DESAlignConfig, TrainingConfig
 from repro.core.model import DESAlign
+from repro.core.similarity import decode_similarity
 from repro.core.task import prepare_task
 from repro.core.trainer import Trainer
 from repro.data.benchmarks import load_benchmark
@@ -34,15 +36,12 @@ def tiny_model(tiny_task):
 
 
 class TestTrainerShim:
-    def test_trainer_warns_with_spec_equivalent(self, tiny_task, tiny_model):
-        with pytest.warns(DeprecationWarning, match="AlignmentPipeline.from_spec"):
-            Trainer(tiny_model, tiny_task, TrainingConfig(epochs=1, eval_every=0))
+    """The Trainer engine, driven directly, matches the facade."""
 
     def test_trainer_result_equals_facade_result(self, tiny_task):
         config = TrainingConfig(epochs=2, eval_every=0, seed=0)
         model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
-        with pytest.warns(DeprecationWarning):
-            legacy = Trainer(model, tiny_task, config).fit()
+        legacy = Trainer(model, tiny_task, config).fit()
 
         spec = PipelineSpec(
             data=DataSpec(dataset="custom", num_entities=36, seed=0),
@@ -54,19 +53,13 @@ class TestTrainerShim:
 
 
 class TestSimilarityShim:
-    def test_legacy_decode_kwarg_warns_with_decode_spec(self, tiny_model):
-        with pytest.warns(DeprecationWarning, match="DecodeSpec\\(decode='blockwise'"):
-            legacy = tiny_model.similarity(decode="blockwise", k=4)
-        assert legacy.k >= 4
-
-    def test_legacy_candidates_kwarg_warns(self, tiny_model):
-        with pytest.warns(DeprecationWarning, match="candidates='ivf'"):
-            tiny_model.similarity(decode="blockwise", candidates="ivf")
+    """``decode_similarity`` over ``decode_states()`` is warning-free and
+    matches the facade's decode."""
 
     def test_default_similarity_call_does_not_warn(self, tiny_model):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            tiny_model.similarity()
+            decode_similarity(*tiny_model.decode_states())
 
     def test_evaluator_path_does_not_warn(self, tiny_task, tiny_model):
         evaluator = Evaluator(tiny_task, decode="blockwise")
@@ -82,18 +75,11 @@ class TestSimilarityShim:
             decode=DecodeSpec(decode="blockwise", k=5),
         )
         aligner = AlignmentPipeline.from_spec(spec).fit(tiny_task)
-        with pytest.warns(DeprecationWarning):
-            legacy = aligner.model.similarity(decode="blockwise", k=5)
+        legacy = decode_similarity(*aligner.model.decode_states(),
+                                   decode="blockwise", k=5)
         facade = aligner.topk()
         assert np.array_equal(legacy.indices, facade.indices)
         assert np.array_equal(legacy.scores, facade.scores)
-
-    def test_baseline_similarity_shim(self, tiny_task):
-        from repro.baselines import EVA
-
-        model = EVA(tiny_task)
-        with pytest.warns(DeprecationWarning, match="EVA.similarity"):
-            model.similarity(decode="blockwise")
 
 
 class TestConsolidatedRules:
@@ -124,10 +110,9 @@ class TestConsolidatedRules:
             Evaluator(tiny_task, decode="dense", candidates="lsh")
 
     def test_model_similarity_rejects_dense_with_candidates(self, tiny_model):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            with pytest.raises(ValueError, match="incompatible with decode='dense'"):
-                tiny_model.similarity(decode="dense", candidates="ivf")
+        with pytest.raises(ValueError, match="incompatible with decode='dense'"):
+            decode_similarity(*tiny_model.decode_states(), decode="dense",
+                              candidates="ivf")
 
     def test_messages_are_identical_across_surfaces(self, tiny_task, tiny_model):
         """The same rule produces byte-identical messages on every surface."""
@@ -146,8 +131,6 @@ class TestConsolidatedRules:
             decode=DecodeSpec(decode="dense", candidates="ivf")).validate())
         evaluator_dense = capture(lambda: Evaluator(tiny_task, decode="dense",
                                                     candidates="ivf"))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            model_dense = capture(lambda: tiny_model.similarity(
-                decode="dense", candidates="ivf"))
+        model_dense = capture(lambda: decode_similarity(
+            *tiny_model.decode_states(), decode="dense", candidates="ivf"))
         assert spec_dense == evaluator_dense == model_dense

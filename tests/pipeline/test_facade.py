@@ -165,9 +165,7 @@ class TestLegacyParity:
         task = prepare_task(pair, structure_dim=16, seed=0, backend="dense")
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0,
                                               propagation_iters=2))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            result = Trainer(model, task, spec.training).fit()
+        result = Trainer(model, task, spec.training).fit()
         assert result.metrics == aligner.metrics
 
     def test_facade_emits_no_deprecation_warnings(self):
