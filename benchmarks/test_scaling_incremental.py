@@ -79,7 +79,7 @@ MAX_SEED_PAIRS = 2  # the trickle of labeled arrivals across all batches
 
 def _spec(preset: dict) -> PipelineSpec:
     return PipelineSpec(
-        data=DataSpec(dataset="custom", backend="dense", seed=5),
+        data=DataSpec(dataset="custom", seed=5),
         # Decode-time propagation smooths over the whole graph and a second
         # GAT layer doubles the receptive field, both orthogonal to what
         # this benchmark measures — with them off, the locality of the warm

@@ -1,20 +1,24 @@
-"""Scaling benchmark for the sparse graph backend.
+"""Scaling benchmark for the CSR graph formulation.
 
-Demonstrates the headline capability the CSR refactor buys: training
-DESAlign and running Semantic Propagation on a synthetic pair with >= 5,000
-entities per side.  The dense path needs ``O(n²)`` memory per graph matrix
+Demonstrates the headline capability CSR buys: training DESAlign and
+running Semantic Propagation on a synthetic pair with >= 5,000 entities per
+side.  A dense formulation would need ``O(n²)`` memory per graph matrix
 (~200 MB per float64 matrix at this size, several of which would be live at
-once) and is out of reach; the sparse path keeps every graph operator at
-``O(|E|)``.  A guard patches the dense materialisation entry points so the
-benchmark *fails* if any ``n x n`` dense graph matrix is ever built.
+once); CSR keeps every graph operator at ``O(|E|)``.  A guard wraps scipy's
+sparse-to-dense conversions so the benchmark *fails* if any large square
+graph matrix is ever densified.
 
-A companion check asserts the sparse backend reproduces the dense backend's
-metrics within 1e-6 on the seed-scale experiment grid.
+A companion check asserts the CSR pipeline reproduces the dense oracles of
+``tests/oracles.py`` (masked-dense GAT attention, dense ``Ã`` propagation)
+within 1e-6 on the seed-scale experiment grid.
 """
 
 from __future__ import annotations
 
 import contextlib
+import os
+import sys
+from unittest import mock
 
 import numpy as np
 import scipy.sparse as sp
@@ -28,49 +32,59 @@ from repro.core.task import prepare_task
 from repro.core.trainer import Trainer, TrainingConfig
 from repro.data.synthetic import SyntheticPairConfig, generate_pair
 from repro.experiments import build_task
-from repro.kg.laplacian import largest_laplacian_eigenvalue
-from repro.kg.sparse import dirichlet_energy_edges
-from repro.nn import AdamW
+from repro.kg.laplacian import dirichlet_energy_pairwise, largest_laplacian_eigenvalue
+from repro.nn import AdamW, GATLayer
 
 from conftest import BENCH_SCALE
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), os.pardir, "tests"))
+from oracles import (  # noqa: E402
+    reference_gat_layer_forward,
+    reference_normalized_adjacency,
+)
 
 SCALING_ENTITIES = 5000
 DENSE_GUARD_THRESHOLD = 1000
 
+#: Every scipy sparse class, matrix and array flavours alike.
+_SPARSE_CLASSES = (sp.csr_matrix, sp.csc_matrix, sp.coo_matrix, sp.bsr_matrix,
+                   sp.lil_matrix, sp.dok_matrix, sp.dia_matrix,
+                   sp.csr_array, sp.csc_array, sp.coo_array, sp.bsr_array,
+                   sp.lil_array, sp.dok_array, sp.dia_array)
+
 
 @contextlib.contextmanager
 def forbid_dense_graph_matrices(threshold: int = DENSE_GUARD_THRESHOLD):
-    """Fail the benchmark if a large dense graph matrix is materialised.
+    """Fail the benchmark if a large square sparse matrix is densified.
 
-    Patches the two dense entry points — ``MultiModalKG.adjacency_matrix``
-    (dense mode) and the ``_as_dense`` densifier inside ``kg.laplacian`` —
-    so any attempt to build an ``n x n`` array for ``n > threshold`` raises.
+    Wraps ``toarray`` and ``todense`` wherever a scipy sparse class (or one
+    of its bases) defines them, so converting any ``n x n`` matrix with
+    ``n > threshold`` raises.  Non-square slices, such as one adjacency row,
+    pass.
     """
-    from repro.kg import graph as graph_module
-    from repro.kg import laplacian as laplacian_module
+    originals = {}
+    for cls in _SPARSE_CLASSES:
+        for owner in cls.__mro__:
+            for name in ("toarray", "todense"):
+                if name in owner.__dict__ and (owner, name) not in originals:
+                    originals[(owner, name)] = owner.__dict__[name]
 
-    original_adjacency = graph_module.MultiModalKG.adjacency_matrix
-    original_as_dense = laplacian_module._as_dense
+    def guarded(name, original):
+        def densify(self, *args, **kwargs):
+            rows, cols = self.shape
+            if rows == cols and rows > threshold:
+                raise AssertionError(
+                    f"{name}() densified a graph matrix of size {self.shape}")
+            return original(self, *args, **kwargs)
+        return densify
 
-    def guarded_adjacency(self, weighted=False, sparse=False):
-        if not sparse and self.num_entities > threshold:
-            raise AssertionError(
-                f"dense adjacency materialised for {self.num_entities} entities")
-        return original_adjacency(self, weighted=weighted, sparse=sparse)
-
-    def guarded_as_dense(adjacency):
-        if adjacency.shape[0] > threshold:
-            raise AssertionError(
-                f"densified a graph matrix of size {adjacency.shape}")
-        return original_as_dense(adjacency)
-
-    graph_module.MultiModalKG.adjacency_matrix = guarded_adjacency
-    laplacian_module._as_dense = guarded_as_dense
     try:
+        for (owner, name), original in originals.items():
+            setattr(owner, name, guarded(name, original))
         yield
     finally:
-        graph_module.MultiModalKG.adjacency_matrix = original_adjacency
-        laplacian_module._as_dense = original_as_dense
+        for (owner, name), original in originals.items():
+            setattr(owner, name, original)
 
 
 def _train_and_propagate_sparse(num_entities: int) -> dict[str, float]:
@@ -79,13 +93,12 @@ def _train_and_propagate_sparse(num_entities: int) -> dict[str, float]:
         num_entities=num_entities, avg_degree=5.0, seed_ratio=0.1,
         seed=7, name="scaling"))
     task = prepare_task(pair, structure_dim=16, relation_dim=24,
-                        attribute_dim=24, backend="sparse")
+                        attribute_dim=24)
     assert sp.issparse(task.source.adjacency)
     assert sp.issparse(task.source.normalized_adjacency)
     assert sp.issparse(task.source.laplacian)
 
-    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=1,
-                                          seed=0, backend="sparse"))
+    model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=1, seed=0))
     optimizer = AdamW(model.parameters(), lr=5e-3)
     source_seed, target_seed = task.seed_arrays()
     losses = []
@@ -119,7 +132,7 @@ def _train_and_propagate_sparse(num_entities: int) -> dict[str, float]:
     ranks = (similarity_block >= similarity_block[
         np.arange(len(rows)), target_index[:64]][:, None]).sum(axis=1)
 
-    energy = dirichlet_energy_edges(source_states[-1], task.source.adjacency)
+    energy = dirichlet_energy_pairwise(source_states[-1], task.source.adjacency)
     eigenvalue = largest_laplacian_eigenvalue(task.source.laplacian)
     return {
         "entities": num_entities,
@@ -144,20 +157,30 @@ def test_scaling_sparse_5000_entities(benchmark):
     assert 0.0 <= report["largest_eigenvalue"] < 2.0 + 1e-9
 
 
-def _seed_scale_metrics(backend: str) -> tuple[dict[str, float], np.ndarray]:
-    scale = BENCH_SCALE.with_overrides(epochs=20, backend=backend)
+def _seed_scale_metrics() -> tuple[dict[str, float], np.ndarray]:
+    scale = BENCH_SCALE.with_overrides(epochs=20)
     task = build_task("FBDB15K", scale, seed_ratio=0.3)
     model = DESAlign(task, DESAlignConfig(hidden_dim=scale.hidden_dim,
-                                          seed=scale.seed, backend=backend))
+                                          seed=scale.seed))
     result = Trainer(model, task, TrainingConfig(
         epochs=scale.epochs, eval_every=0, seed=scale.seed)).fit()
     return result.metrics.as_dict(), decode_similarity(*model.decode_states())
 
 
+@contextlib.contextmanager
+def dense_oracles():
+    """Run the GAT and Semantic Propagation on the dense ``n x n`` oracles."""
+    with mock.patch.object(GATLayer, "forward", reference_gat_layer_forward), \
+            mock.patch("repro.core.propagation.normalized_adjacency",
+                       reference_normalized_adjacency):
+        yield
+
+
 def test_sparse_backend_matches_dense_on_seed_grid(benchmark):
     def compare():
-        dense_metrics, dense_similarity = _seed_scale_metrics("dense")
-        sparse_metrics, sparse_similarity = _seed_scale_metrics("sparse")
+        with dense_oracles():
+            dense_metrics, dense_similarity = _seed_scale_metrics()
+        sparse_metrics, sparse_similarity = _seed_scale_metrics()
         return dense_metrics, sparse_metrics, dense_similarity, sparse_similarity
 
     dense_metrics, sparse_metrics, dense_similarity, sparse_similarity = \

@@ -1,17 +1,17 @@
 """Sparse differentiable primitives: ``spmm`` and segment operations.
 
-These extend the autograd substrate with the three operations the sparse
-graph backend needs:
+These extend the autograd substrate with the three operations CSR message
+passing needs:
 
-* :func:`spmm` — multiply a *constant* (sparse or dense) matrix with a
-  differentiable :class:`Tensor`; the backward pass multiplies by the
-  transpose, so gradients never densify the matrix;
+* :func:`spmm` — multiply a *constant* CSR matrix with a differentiable
+  :class:`Tensor`; the backward pass multiplies by the transpose, so
+  gradients never densify the matrix;
 * :func:`segment_sum` — scatter-add rows of a tensor into segments, the
   adjoint of row gathering (``index_select``); together they express
   edge-list message passing;
 * :func:`segment_softmax` — softmax over variable-sized segments of a score
-  vector (one segment per destination node), the sparse counterpart of the
-  masked dense attention softmax.
+  vector (one segment per destination node), which is a row-wise softmax
+  with every non-edge masked out.
 
 Each primitive is covered by numerical gradient checks in
 ``tests/autograd/test_sparse_ops.py``.
@@ -28,23 +28,15 @@ __all__ = ["spmm", "segment_sum", "segment_softmax"]
 
 
 def spmm(matrix, x: Tensor) -> Tensor:
-    """Sparse(-or-dense) matrix @ dense Tensor, differentiable in ``x``.
+    """CSR matrix @ dense Tensor, differentiable in ``x``.
 
     ``matrix`` is treated as a constant (no gradient is accumulated for it);
-    the backward pass is ``grad_x = matrix.T @ grad_out``.  Accepts a scipy
-    sparse matrix or a plain ndarray, so callers can dispatch on a single
-    code path for both backends.
+    the backward pass is ``grad_x = matrix.T @ grad_out``.  Any other matrix
+    (dense or another sparse format) is converted to CSR first.
     """
     x = Tensor.ensure(x)
-    if sp.issparse(matrix):
-        if matrix.format == "csr" and matrix.dtype == np.float64:
-            operator = matrix
-        else:
-            operator = matrix.tocsr().astype(np.float64)
-        transpose = operator.T  # CSC view of the same data, no copy
-    else:
-        operator = np.asarray(matrix, dtype=np.float64)
-        transpose = operator.T
+    operator = sp.csr_matrix(matrix, dtype=np.float64)
+    transpose = operator.T  # CSC view of the same data, no copy
 
     def backward(out: Tensor) -> None:
         x._accumulate(np.asarray(transpose @ out.grad))
@@ -60,7 +52,7 @@ def _sorted_segment_starts(segment_ids: np.ndarray,
     faster ``ufunc.reduceat`` over contiguous slices instead of the
     unbuffered ``ufunc.at`` scatter.  The reduction may use pairwise
     summation internally, so results can differ from the scatter path at
-    the last-ULP level — well inside the tolerances the dense/sparse
+    the last-ULP level — well inside the tolerances the dense-oracle
     equivalence tests assert.
     """
     if len(segment_ids) == 0 or np.any(np.diff(segment_ids) < 0):

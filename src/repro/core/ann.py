@@ -42,6 +42,7 @@ relative to the ``n_s · n_t`` exhaustive decode.
 
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
 from dataclasses import dataclass, replace
 
@@ -78,14 +79,24 @@ class _CellCounter:
         self.cells += int(cells)
 
 
-_COUNTER_STACK: list[_CellCounter] = []
+#: Per-thread stacks of open counters: a counter sees only the cells its
+#: own thread computes.
+_COUNTERS = threading.local()
+
+
+def _counter_stack() -> list[_CellCounter]:
+    stack = getattr(_COUNTERS, "stack", None)
+    if stack is None:
+        stack = _COUNTERS.stack = []
+    return stack
 
 
 class flops_counter:
     """Context manager counting every dot product computed inside its scope.
 
     Candidate generation (k-means, centroid scoring, LSH projections) and
-    the blockwise decode both report to the innermost active counter, so
+    the blockwise decode report to every counter open on the calling
+    thread, so
 
     >>> with flops_counter() as counter:
     ...     topk = blockwise_topk(source, target, row_candidates=cands)
@@ -98,34 +109,36 @@ class flops_counter:
 
     def __enter__(self) -> _CellCounter:
         self._counter = _CellCounter()
-        _COUNTER_STACK.append(self._counter)
+        _counter_stack().append(self._counter)
         return self._counter
 
     def __exit__(self, *exc_info) -> None:
-        _COUNTER_STACK.remove(self._counter)
+        _counter_stack().remove(self._counter)
 
 
 def count_dot_products(cells: int) -> None:
-    """Report ``cells`` dot products to every active :func:`flops_counter`."""
-    for counter in _COUNTER_STACK:
+    """Report ``cells`` dot products to the calling thread's open counters."""
+    for counter in _counter_stack():
         counter.add(cells)
 
 
 @contextmanager
 def paused_flops_counting():
-    """Temporarily detach every active counter.
+    """Temporarily detach the calling thread's open counters.
 
     The sharded decode driver charges the merged partials' cell counts to
     the parent's counters once (forked workers' counters live in the child
     processes and never propagate back); its in-process fallback therefore
-    runs under this pause so the same cells are not charged twice.
+    runs under this pause so the same cells are not charged twice.  Other
+    threads' counters keep counting.
     """
-    saved = _COUNTER_STACK[:]
-    _COUNTER_STACK.clear()
+    stack = _counter_stack()
+    saved = stack[:]
+    stack.clear()
     try:
         yield
     finally:
-        _COUNTER_STACK.extend(saved)
+        stack.extend(saved)
 
 
 # ---------------------------------------------------------------------------

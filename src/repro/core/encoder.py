@@ -181,11 +181,7 @@ class MultiModalEncoder(Module):
             return self._fuse(modal, node_ids=node_ids)
 
         modal = {}
-        if "graph" in self.modalities:
-            edges = (int(adjacency.nnz) if hasattr(adjacency, "nnz")
-                     else int(np.count_nonzero(adjacency)))
-        else:
-            edges = 0
+        edges = int(adjacency.nnz) if "graph" in self.modalities else 0
         self._meter_forward(self.structural_embedding(side).data.shape[0], edges)
         for modality in self.modalities:
             if modality == "graph":

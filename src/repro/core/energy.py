@@ -39,11 +39,11 @@ class EnergySnapshot:
 class EnergyMonitor:
     """Records Dirichlet-energy trajectories of encoder outputs.
 
-    ``laplacian`` may be a dense array or a CSR matrix; the energies are
-    computed through the backend-dispatching :func:`dirichlet_energy`.
+    The energies are computed on the CSR ``laplacian`` through
+    :func:`dirichlet_energy`.
     """
 
-    laplacian: "np.ndarray | object"
+    laplacian: "object"
     history: list[EnergySnapshot] = field(default_factory=list)
 
     def record(self, step: int, output: EncoderOutput) -> EnergySnapshot:
@@ -70,7 +70,7 @@ class EnergyMonitor:
 
 
 def verify_layer_bounds(features: np.ndarray, weight: np.ndarray,
-                        laplacian: np.ndarray) -> dict[str, float]:
+                        laplacian) -> dict[str, float]:
     """Check Proposition 2 on a concrete linear layer ``X W``.
 
     Returns the previous/next energies together with the singular-value

@@ -39,11 +39,6 @@ class DESAlign(Module):
     def __init__(self, task: PreparedTask, config: DESAlignConfig | None = None):
         super().__init__()
         self.config = config or DESAlignConfig()
-        # Honour the configured graph backend: converting here means a task
-        # prepared under either backend can serve a model under either;
-        # "auto" keeps whatever the task was prepared with.
-        if self.config.backend != "auto":
-            task = task.with_backend(self.config.backend)
         self.task = task
         rng = np.random.default_rng(self.config.seed)
         self.encoder = MultiModalEncoder(

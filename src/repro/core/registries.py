@@ -79,7 +79,7 @@ def load_entry_point_plugins(force: bool = False) -> list[str]:
     try:
         from importlib.metadata import entry_points
         points = entry_points(group=PLUGIN_ENTRY_POINT_GROUP)
-    except Exception as error:  # pragma: no cover - metadata backend broken
+    except Exception as error:  # pragma: no cover - broken package metadata
         warnings.warn(f"plugin discovery failed: {error}", RuntimeWarning,
                       stacklevel=2)
         return []

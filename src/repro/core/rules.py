@@ -1,14 +1,14 @@
 """Single-source legality rules of the alignment pipeline.
 
-Four PRs of scaling work each added a string switch (``backend``,
-``decode``, ``encode``, ``sampling``, ``candidates``, ``ranking``) and the
-rules about which combinations are coherent ended up re-checked in several
-places — ``TrainingConfig.__post_init__``, the evaluator, the similarity
-engine and the training loops.  This module is now the only place a rule
-and its error message live: every legacy validation site and
-:meth:`repro.pipeline.PipelineSpec.validate` delegate here, so a rejected
-combination produces the same actionable message no matter which API
-surface it entered through.
+The pipeline's string switches (``decode``, ``encode``, ``sampling``,
+``candidates``, ``ranking``) and the rules about which combinations are
+coherent are checked here and nowhere else: ``TrainingConfig``, the
+evaluator, the similarity engine, the training loops and
+:meth:`repro.pipeline.PipelineSpec.validate` all delegate to this module,
+so a rejected combination produces the same actionable message no matter
+which API surface it entered through.  The one graph formulation is CSR;
+:func:`check_backend` only validates the spec format's ``data.backend``
+key, which selects nothing.
 """
 
 from __future__ import annotations
@@ -34,12 +34,15 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # Per-field vocabulary checks
 # ---------------------------------------------------------------------------
-def check_backend(backend: str, allow_auto: bool = False) -> None:
-    """Graph backend switch: ``"dense" | "sparse"`` (plus optional ``"auto"``)."""
-    allowed = {"dense", "sparse"} | ({"auto"} if allow_auto else set())
-    if backend not in allowed:
+def check_backend(backend: str) -> None:
+    """The spec format's ``data.backend`` key: ``"dense" | "sparse"``.
+
+    Both values prepare the same CSR task; the key is validated so specs
+    written with either value keep loading and a typo still fails.
+    """
+    if backend not in {"dense", "sparse"}:
         raise ValueError(
-            f"backend must be one of {sorted(allowed)}, got {backend!r}")
+            f"backend must be one of ['dense', 'sparse'], got {backend!r}")
 
 
 def check_decode_method(decode: str) -> None:

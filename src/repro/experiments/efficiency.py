@@ -298,7 +298,7 @@ def _training_pipeline(task, sampling: str, fanouts):
     between the timer and the loop.
     """
     model = DESAlign(task, DESAlignConfig(hidden_dim=16, gat_layers=2,
-                                          seed=0, backend="sparse"))
+                                          seed=0))
     config = TrainingConfig(epochs=2, eval_every=0, seed=0, batch_size=256,
                             sampling=sampling, fanouts=fanouts)
     return Trainer(model, task, config).fit()
@@ -306,12 +306,12 @@ def _training_pipeline(task, sampling: str, fanouts):
 
 def _profile_training_paths(result: ExperimentResult,
                             num_entities: int) -> None:
-    """Full-graph vs neighbour-sampled training cost on a sparse pair."""
+    """Full-graph vs neighbour-sampled training cost on a large pair."""
     pair = generate_pair(SyntheticPairConfig(
         num_entities=num_entities, avg_degree=5.0, seed_ratio=0.2,
         seed=5, name="train-scaling"))
     task = prepare_task(pair, structure_dim=16, relation_dim=24,
-                        attribute_dim=24, backend="sparse")
+                        attribute_dim=24)
     for label, sampling, fanouts in (("train-full", "full", None),
                                      ("train-neighbour", "neighbour", (4, 4))):
         inner, seconds, peak_mb, rss_mb = measure_peak_memory(
@@ -401,6 +401,6 @@ def run_efficiency(scale: ExperimentScale = QUICK_SCALE,
                                       num_entities)
 
     # Training-path comparison: full-graph vs neighbour-sampled mini-batches
-    # on a sparse pair beyond the dense backend's comfort zone.
+    # on a pair of a few thousand entities.
     _profile_training_paths(result, train_entities)
     return result

@@ -234,7 +234,7 @@ class IncrementalAligner:
         app = apply_delta(self.task, delta, seed=seed)
         new_task = app.task
         self._extend_parameters(app, seed)
-        self.model.task = new_task.with_backend(self.model.task.backend)
+        self.model.task = new_task
         self.model._eval_samplers = {}
 
         # Warm encode: scatter-update the raw evaluation embeddings over
@@ -331,11 +331,8 @@ class IncrementalAligner:
             adjacency = prepared.adjacency
             fresh = np.empty((len(new_ids), table.shape[1]))
             for offset, entity in enumerate(new_ids):
-                row = adjacency[int(entity)]
-                if hasattr(row, "toarray"):   # sparse backend
-                    row = row.toarray()
-                neighbours = np.flatnonzero(
-                    np.asarray(row).ravel()[:num_old])
+                row = adjacency[int(entity)].toarray().ravel()
+                neighbours = np.flatnonzero(row[:num_old])
                 if len(neighbours):
                     fresh[offset] = table[neighbours].mean(axis=0)
                 else:

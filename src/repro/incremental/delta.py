@@ -31,13 +31,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..core.task import PreparedSide, PreparedTask
+from ..core.task import PreparedTask, prepare_side
 from ..data.features import (ModalFeatureSet, bag_of_attributes,
                              bag_of_relations, visual_feature_matrix)
 from ..kg.graph import AttributeTriple, MultiModalKG, RelationTriple
-from ..kg.laplacian import graph_laplacian, normalized_adjacency
 from ..kg.pair import AlignmentPair, KGPair
-from ..kg.sparse import graph_laplacian_sparse, normalized_adjacency_sparse
 
 __all__ = ["SideDelta", "DeltaBatch", "DeltaApplication", "apply_delta"]
 
@@ -285,23 +283,6 @@ def _extend_features(old: ModalFeatureSet, new_graph: MultiModalKG,
             changed)
 
 
-def _prepare_side(graph: MultiModalKG, features: ModalFeatureSet,
-                  backend: str) -> PreparedSide:
-    """Rebuild one side's matrices from the extended graph (prepare_task's
-    construction, row order stable by the positional-id invariant)."""
-    if backend == "sparse":
-        adjacency = graph.adjacency_matrix(sparse=True)
-        normalized = normalized_adjacency_sparse(adjacency)
-        laplacian = graph_laplacian_sparse(adjacency)
-    else:
-        adjacency = graph.adjacency_matrix()
-        normalized = normalized_adjacency(adjacency)
-        laplacian = graph_laplacian(adjacency)
-    return PreparedSide(features=features, adjacency=adjacency,
-                        normalized_adjacency=normalized,
-                        laplacian=laplacian, backend=backend)
-
-
 def apply_delta(task: PreparedTask, delta: DeltaBatch,
                 seed: int = 0) -> DeltaApplication:
     """Fold one delta batch into a prepared task, place-preservingly.
@@ -362,8 +343,8 @@ def apply_delta(task: PreparedTask, delta: DeltaBatch,
 
     new_task = PreparedTask(
         pair=new_pair,
-        source=_prepare_side(source_graph, source_features, task.backend),
-        target=_prepare_side(target_graph, target_features, task.backend),
+        source=prepare_side(source_graph, source_features),
+        target=prepare_side(target_graph, target_features),
         train_pairs=np.asarray(train_pairs, dtype=np.int64),
         test_pairs=task.test_pairs,
         feature_dims=dict(task.feature_dims),

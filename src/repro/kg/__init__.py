@@ -16,9 +16,6 @@ from .sampling import NeighbourSampler, SubgraphLayer, SubgraphView, attention_p
 from .sparse import (
     adjacency_from_triples,
     degrees_from_triples,
-    normalized_adjacency_sparse,
-    graph_laplacian_sparse,
-    dirichlet_energy_edges,
     edge_index,
     largest_eigenvalue,
 )
@@ -45,9 +42,6 @@ __all__ = [
     "attention_pattern",
     "adjacency_from_triples",
     "degrees_from_triples",
-    "normalized_adjacency_sparse",
-    "graph_laplacian_sparse",
-    "dirichlet_energy_edges",
     "edge_index",
     "largest_eigenvalue",
     "save_pair_json",

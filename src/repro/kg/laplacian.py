@@ -5,12 +5,19 @@ These implement the quantities of the paper's preliminaries (Sec. II):
 ``E(X) = tr(Xᵀ Δ X)`` of Definition 3, together with the partitioned views
 (consistent / count-inconsistent / modality-missing entities, Eq. 2) used by
 Semantic Propagation.
+
+Every operator is CSR: a dense adjacency or Laplacian passed in is converted
+once with ``scipy.sparse.csr_matrix``, so memory stays ``O(|E|)`` and
+time ``O(|E| d)``.  The dense ``n x n`` formulations are test oracles
+(``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
 import numpy as np
 import scipy.sparse as sp
+
+from .sparse import _as_csr, _inverse_sqrt_degrees, largest_eigenvalue
 
 __all__ = [
     "normalized_adjacency",
@@ -24,103 +31,80 @@ __all__ = [
 ]
 
 
-def _as_dense(adjacency) -> np.ndarray:
-    """Densify small inputs for the dense reference implementations.
-
-    The sparse-first pipeline never calls this on large graphs: sparse
-    inputs to the energy/eigenvalue helpers below are routed through
-    :mod:`repro.kg.sparse` instead of being densified.
-    """
-    if sp.issparse(adjacency):
-        return np.asarray(adjacency.todense(), dtype=np.float64)
-    return np.asarray(adjacency, dtype=np.float64)
-
-
-def normalized_adjacency(adjacency, add_self_loops: bool = True) -> np.ndarray:
-    """Symmetric normalisation ``D^{-1/2} (A [+ I]) D^{-1/2}``.
+def normalized_adjacency(adjacency, add_self_loops: bool = True) -> sp.csr_matrix:
+    """Symmetric normalisation ``D^{-1/2} (A [+ I]) D^{-1/2}`` as a CSR matrix.
 
     Adding self-loops (the default) matches the ``D + 1`` degree shift in
     the paper's Definition 3 and keeps isolated entities well defined — such
-    entities are common in the high-missing-modality splits.
+    entities are common in the high-missing-modality splits.  The result
+    keeps ``O(|E|)`` non-zeros.
     """
-    from .sparse import _inverse_sqrt_degrees
-
-    dense = _as_dense(adjacency)
-    if dense.shape[0] != dense.shape[1]:
+    matrix = _as_csr(adjacency)
+    if matrix.shape[0] != matrix.shape[1]:
         raise ValueError("adjacency must be square")
     if add_self_loops:
-        dense = dense + np.eye(dense.shape[0])
-    # Shared with the sparse backend so the degree guard stays bit-identical
-    # across the two implementations (the parity tests assert atol=1e-15).
-    inv_sqrt = _inverse_sqrt_degrees(dense.sum(axis=1))
-    return dense * inv_sqrt[:, None] * inv_sqrt[None, :]
+        matrix = (matrix + sp.identity(matrix.shape[0], format="csr")).tocsr()
+    degrees = np.asarray(matrix.sum(axis=1)).ravel()
+    inv_sqrt = _inverse_sqrt_degrees(degrees)
+    scaling = sp.diags(inv_sqrt)
+    return (scaling @ matrix @ scaling).tocsr()
 
 
-def graph_laplacian(adjacency, add_self_loops: bool = True) -> np.ndarray:
-    """Normalised graph Laplacian ``Δ = I - Ã`` (positive semi-definite)."""
+def graph_laplacian(adjacency, add_self_loops: bool = True) -> sp.csr_matrix:
+    """Normalised graph Laplacian ``Δ = I - Ã`` (CSR, positive semi-definite)."""
     normalised = normalized_adjacency(adjacency, add_self_loops=add_self_loops)
-    return np.eye(normalised.shape[0]) - normalised
+    return (sp.identity(normalised.shape[0], format="csr") - normalised).tocsr()
 
 
 def dirichlet_energy(features: np.ndarray, laplacian) -> float:
     """Dirichlet energy ``tr(Xᵀ Δ X)`` of Definition 3 (trace form).
 
-    Accepts a dense or CSR Laplacian; the sparse path evaluates the
-    equivalent ``Σ_ij x_ij (Δ x)_ij`` in ``O(|E| d)`` without densifying.
+    Evaluated as ``Σ_ij x_ij (Δ x)_ij`` in ``O(|E| d)`` on the CSR form of
+    ``laplacian``.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[:, None]
-    if sp.issparse(laplacian):
-        return float(np.sum(features * np.asarray(laplacian @ features)))
-    return float(np.trace(features.T @ laplacian @ features))
+    return float(np.sum(features * np.asarray(_as_csr(laplacian) @ features)))
 
 
 def dirichlet_energy_pairwise(features: np.ndarray, adjacency,
                               add_self_loops: bool = True) -> float:
-    """Dirichlet energy in the pairwise form of Definition 3.
+    """Dirichlet energy in the pairwise form of Definition 3, summed over edges.
 
     ``1/2 Σ_ij a_ij || x_i / sqrt(d_i) - x_j / sqrt(d_j) ||²`` with degrees
     taken after the optional self-loop shift; equals the trace form for the
-    same Laplacian (verified by property-based tests).  A sparse adjacency
-    is summed edge-wise in ``O(|E| d)`` instead of building the full
-    ``n x n`` pairwise-distance matrix.
+    same Laplacian (verified by property-based tests).  Self-loop terms
+    vanish, so only the off-diagonal edges are visited in ``O(|E| d)``.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim == 1:
         features = features[:, None]
-    if sp.issparse(adjacency):
-        from .sparse import dirichlet_energy_edges
-        return dirichlet_energy_edges(features, adjacency, add_self_loops=add_self_loops)
-    dense = _as_dense(adjacency)
+    matrix = _as_csr(adjacency)
+    degrees = np.asarray(matrix.sum(axis=1)).ravel()
     if add_self_loops:
-        dense_with_loops = dense + np.eye(dense.shape[0])
-    else:
-        dense_with_loops = dense
-    from .sparse import _inverse_sqrt_degrees
-    inv_sqrt = _inverse_sqrt_degrees(dense_with_loops.sum(axis=1))
-    scaled = features * inv_sqrt[:, None]
-    # ||s_i - s_j||^2 = ||s_i||^2 + ||s_j||^2 - 2 s_i.s_j, summed with weights a_ij.
-    squared_norms = np.sum(scaled ** 2, axis=1)
-    cross = scaled @ scaled.T
-    pairwise = squared_norms[:, None] + squared_norms[None, :] - 2.0 * cross
-    return float(0.5 * np.sum(dense_with_loops * pairwise))
+        degrees = degrees + 1.0
+    scaled = features * _inverse_sqrt_degrees(degrees)[:, None]
+    coo = matrix.tocoo()
+    off_diagonal = coo.row != coo.col
+    rows, cols = coo.row[off_diagonal], coo.col[off_diagonal]
+    weights = coo.data[off_diagonal]
+    difference = scaled[rows] - scaled[cols]
+    return float(0.5 * np.sum(weights * np.sum(difference * difference, axis=1)))
 
 
 def largest_laplacian_eigenvalue(laplacian) -> float:
     """Largest eigenvalue of the (symmetric) Laplacian; lies in ``[0, 2)``.
 
-    Tiny graphs use exact dense ``eigvalsh``; anything larger uses Lanczos
+    Tiny graphs use exact ``eigvalsh``; anything larger uses Lanczos
     ``eigsh(k=1)`` (with a power-iteration fallback), which avoids the
-    ``O(n³)`` full eigendecomposition and works on sparse Laplacians.
+    ``O(n³)`` full eigendecomposition.
     """
-    from .sparse import largest_eigenvalue
-
     return largest_eigenvalue(laplacian)
 
 
 def energy_gap_bounds(original: np.ndarray, modified: np.ndarray,
-                      laplacian: np.ndarray) -> tuple[float, float, float]:
+                      laplacian) -> tuple[float, float, float]:
     """Bounds of Corollary 1 on ``||X̂ - X||₂`` from the Dirichlet-energy gap.
 
     Returns ``(lower, distance, upper)`` where ``distance`` is the Frobenius
@@ -152,11 +136,11 @@ def layer_energy_bounds(weight: np.ndarray, previous_energy: float) -> tuple[flo
     return p_min * previous_energy, p_max * previous_energy
 
 
-def partition_laplacian(laplacian: np.ndarray,
+def partition_laplacian(laplacian,
                         consistent: np.ndarray,
                         count_inconsistent: np.ndarray,
-                        missing: np.ndarray) -> dict[str, np.ndarray]:
-    """Partition ``Δ`` into the blocks of Eq. 2 / Eq. 18.
+                        missing: np.ndarray) -> dict[str, sp.csr_matrix]:
+    """Partition ``Δ`` into the CSR blocks of Eq. 2 / Eq. 18.
 
     ``consistent``, ``count_inconsistent`` and ``missing`` are index arrays
     for ``E_c``, ``E_{o1}`` and ``E_{o2}``; they must be disjoint and cover
@@ -169,13 +153,8 @@ def partition_laplacian(laplacian: np.ndarray,
     union = np.concatenate([consistent, count_inconsistent, missing])
     if len(np.unique(union)) != laplacian.shape[0] or len(union) != laplacian.shape[0]:
         raise ValueError("partition must be disjoint and cover every node")
-    blocks: dict[str, np.ndarray] = {}
+    laplacian = _as_csr(laplacian)
     index = {"c": consistent, "o1": count_inconsistent, "o2": missing}
-    sparse_laplacian = laplacian.tocsr() if sp.issparse(laplacian) else None
-    for row_key, rows in index.items():
-        for col_key, cols in index.items():
-            if sparse_laplacian is not None:
-                blocks[f"{row_key}{col_key}"] = sparse_laplacian[rows][:, cols]
-            else:
-                blocks[f"{row_key}{col_key}"] = laplacian[np.ix_(rows, cols)]
-    return blocks
+    return {f"{row_key}{col_key}": laplacian[rows][:, cols]
+            for row_key, rows in index.items()
+            for col_key, cols in index.items()}

@@ -51,13 +51,9 @@ def attention_pattern(adjacency) -> sp.csr_matrix:
     Matches the edge set of :func:`repro.kg.sparse.edge_index` with
     ``add_self_loops=True`` (duplicates merged, indices sorted), so a
     full-neighbourhood subgraph over this pattern reproduces the full-graph
-    edge-list attention exactly.  Accepts a dense array or any scipy
-    sparse matrix.
+    edge-list attention exactly.  The input is taken in CSR form.
     """
-    if sp.issparse(adjacency):
-        matrix = adjacency.tocsr().astype(np.float64)
-    else:
-        matrix = sp.csr_matrix(np.asarray(adjacency, dtype=np.float64))
+    matrix = sp.csr_matrix(adjacency, dtype=np.float64)
     pattern = (matrix != 0).astype(np.float64)
     pattern = (pattern + sp.identity(matrix.shape[0], format="csr")).tocsr()
     pattern.data[:] = 1.0
@@ -206,10 +202,8 @@ class NeighbourSampler:
 
     def __init__(self, matrix, fanouts: Sequence[int | None], seed: int = 0,
                  rescale: bool = True):
-        if sp.issparse(matrix):
-            matrix = matrix.tocsr().astype(np.float64)
-        else:
-            matrix = sp.csr_matrix(np.asarray(matrix, dtype=np.float64))
+        # A private copy: ``sort_indices`` below reorders it in place.
+        matrix = sp.csr_matrix(matrix, dtype=np.float64, copy=True)
         if matrix.shape[0] != matrix.shape[1]:
             raise ValueError("sampling requires a square matrix")
         matrix.sort_indices()

@@ -1,23 +1,14 @@
-"""Sparse-first graph operators: CSR adjacency, normalisation and spectra.
+"""CSR graph construction and spectra.
 
-The dense helpers in :mod:`repro.kg.laplacian` materialise ``n x n`` arrays,
-which caps experiments at a few hundred entities.  This module provides the
-same quantities as CSR operations whose cost is ``O(|E|)`` in memory and
-``O(|E| * d)`` in time:
+The graph operators of :mod:`repro.kg.laplacian` are CSR throughout; this
+module holds the pieces they are built from, each ``O(|E|)`` in memory:
 
 * CSR adjacency construction straight from relation triples (no dense
   intermediate), plus degree computation without any adjacency at all;
-* sparse symmetric normalisation ``D^{-1/2} (A [+ I]) D^{-1/2}`` and the
-  sparse normalised Laplacian ``I - A_hat``;
-* edge-wise Dirichlet energy (the pairwise form of Definition 3 summed over
-  edges instead of over all ``n^2`` pairs);
-* the largest Laplacian eigenvalue via ``scipy.sparse.linalg.eigsh`` with a
-  dense fallback for tiny graphs and a power-iteration fallback when the
-  Lanczos iteration does not converge.
-
-Every function is numerically equivalent to its dense counterpart (the
-property tests in ``tests/properties`` assert this), so the two backends can
-be swapped behind the same API.
+* the deduplicated, self-looped edge list the edge-list GAT attends over;
+* the largest Laplacian eigenvalue via ``scipy.sparse.linalg.eigsh`` with
+  exact ``eigvalsh`` for tiny graphs and a power-iteration fallback when
+  the Lanczos iteration does not converge.
 """
 
 from __future__ import annotations
@@ -31,9 +22,6 @@ from scipy.sparse.linalg import ArpackError, ArpackNoConvergence, eigsh
 __all__ = [
     "adjacency_from_triples",
     "degrees_from_triples",
-    "normalized_adjacency_sparse",
-    "graph_laplacian_sparse",
-    "dirichlet_energy_edges",
     "edge_index",
     "power_iteration_eigenvalue",
     "largest_eigenvalue",
@@ -97,57 +85,8 @@ def _inverse_sqrt_degrees(degrees: np.ndarray) -> np.ndarray:
 
 
 def _as_csr(adjacency) -> sp.csr_matrix:
-    if sp.issparse(adjacency):
-        return adjacency.tocsr().astype(np.float64)
-    return sp.csr_matrix(np.asarray(adjacency, dtype=np.float64))
-
-
-def normalized_adjacency_sparse(adjacency, add_self_loops: bool = True) -> sp.csr_matrix:
-    """Sparse symmetric normalisation ``D^{-1/2} (A [+ I]) D^{-1/2}``.
-
-    Value-equivalent to :func:`repro.kg.laplacian.normalized_adjacency`; the
-    result stays CSR with ``O(|E|)`` non-zeros.
-    """
-    matrix = _as_csr(adjacency)
-    if matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("adjacency must be square")
-    if add_self_loops:
-        matrix = (matrix + sp.identity(matrix.shape[0], format="csr")).tocsr()
-    degrees = np.asarray(matrix.sum(axis=1)).ravel()
-    inv_sqrt = _inverse_sqrt_degrees(degrees)
-    scaling = sp.diags(inv_sqrt)
-    return (scaling @ matrix @ scaling).tocsr()
-
-
-def graph_laplacian_sparse(adjacency, add_self_loops: bool = True) -> sp.csr_matrix:
-    """Sparse normalised graph Laplacian ``I - A_hat`` (positive semi-definite)."""
-    normalised = normalized_adjacency_sparse(adjacency, add_self_loops=add_self_loops)
-    return (sp.identity(normalised.shape[0], format="csr") - normalised).tocsr()
-
-
-def dirichlet_energy_edges(features: np.ndarray, adjacency,
-                           add_self_loops: bool = True) -> float:
-    """Dirichlet energy in the pairwise form, summed over edges: ``O(|E| d)``.
-
-    ``1/2 sum_ij a_ij || x_i / sqrt(d_i) - x_j / sqrt(d_j) ||^2`` with degrees
-    taken after the optional self-loop shift.  Self-loop terms vanish, so
-    only the off-diagonal edges are visited — no ``n x n`` pairwise-distance
-    matrix is ever built (unlike ``dirichlet_energy_pairwise``'s dense path).
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if features.ndim == 1:
-        features = features[:, None]
-    matrix = _as_csr(adjacency)
-    degrees = np.asarray(matrix.sum(axis=1)).ravel()
-    if add_self_loops:
-        degrees = degrees + 1.0
-    scaled = features * _inverse_sqrt_degrees(degrees)[:, None]
-    coo = matrix.tocoo()
-    off_diagonal = coo.row != coo.col
-    rows, cols = coo.row[off_diagonal], coo.col[off_diagonal]
-    weights = coo.data[off_diagonal]
-    difference = scaled[rows] - scaled[cols]
-    return float(0.5 * np.sum(weights * np.sum(difference * difference, axis=1)))
+    """The one conversion of a caller's (dense or sparse) matrix to CSR."""
+    return sp.csr_matrix(adjacency, dtype=np.float64)
 
 
 def edge_index(adjacency, add_self_loops: bool = True) -> tuple[np.ndarray, np.ndarray]:
@@ -176,11 +115,10 @@ def edge_index(adjacency, add_self_loops: bool = True) -> tuple[np.ndarray, np.n
     merged = sp.csr_matrix((np.ones(len(rows)), (rows, cols)),
                            shape=matrix.shape).tocoo()
     result = merged.row.astype(np.int64), merged.col.astype(np.int64)
-    if sp.issparse(adjacency):
-        try:
-            adjacency._repro_edge_index = (add_self_loops,) + result
-        except AttributeError:  # matrix types that forbid new attributes
-            pass
+    try:
+        adjacency._repro_edge_index = (add_self_loops,) + result
+    except AttributeError:  # arrays and matrix types that forbid new attributes
+        pass
     return result
 
 
@@ -212,7 +150,7 @@ def power_iteration_eigenvalue(matrix, iterations: int = 200,
 
 
 def largest_eigenvalue(matrix, dense_cutoff: int = DENSE_EIGEN_CUTOFF) -> float:
-    """Largest eigenvalue of a symmetric (sparse or dense) matrix.
+    """Largest eigenvalue of a symmetric matrix, taken in CSR form.
 
     Tiny matrices use dense ``eigvalsh`` (exact, and ``eigsh`` requires
     ``k < n``); larger ones use Lanczos ``eigsh(k=1)`` in ``O(|E|)`` per
@@ -221,10 +159,10 @@ def largest_eigenvalue(matrix, dense_cutoff: int = DENSE_EIGEN_CUTOFF) -> float:
     largest-modulus eigenvalue), which holds for the Laplacians this is
     used on.
     """
+    matrix = _as_csr(matrix)
     n = matrix.shape[0]
     if n <= dense_cutoff:
-        dense = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix, dtype=np.float64)
-        return float(np.linalg.eigvalsh(dense)[-1])
+        return float(np.linalg.eigvalsh(matrix.toarray())[-1])
     try:
         values = eigsh(matrix, k=1, which="LA", return_eigenvectors=False)
         return float(values[0])

@@ -2,22 +2,14 @@
 
 DESAlign (Sec. IV-A(1)) encodes the graph structure of each MMKG with a GAT
 (Velickovic et al., 2018) of two layers and two attention heads, combined
-with a diagonal linear transform.  Two numerically equivalent formulations
-are provided and selected by the adjacency type:
+with a diagonal linear transform.  Attention runs over the edge list of the
+CSR adjacency: per-edge logits with a segment softmax over each node's
+neighbourhood and a scatter-add aggregation, all expressed through the
+sparse autograd primitives, in ``O(|E| d)``.  The equivalence tests check
+its forward values and parameter gradients against the masked-dense
+``n x n`` formulation in ``tests/oracles.py``.
 
-* **dense** (``np.ndarray``): attention logits are computed for every pair
-  and masked with the adjacency matrix — simple, but ``O(n²)`` in time and
-  memory, viable only for small graphs;
-* **edge-list** (scipy sparse): per-edge logits with a segment softmax over
-  each node's neighbourhood and a scatter-add aggregation, all expressed
-  through the sparse autograd primitives — ``O(|E| d)`` and the form used
-  by the ``backend="sparse"`` pipeline.
-
-The masked-dense softmax and the segment softmax agree exactly (masked
-entries underflow to zero), which the equivalence tests assert on both the
-forward values and the parameter gradients.
-
-A third, *bipartite* formulation serves mini-batch training: passing a
+A *bipartite* formulation serves mini-batch training: passing a
 :class:`~repro.kg.sampling.SubgraphView` (sampled over an
 ``attention_pattern``) runs each layer on its renumbered local edge list,
 attending from a shrinking destination set over its sampled neighbourhood.
@@ -29,9 +21,8 @@ products match to the last ulp).
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sp
 
-from ..autograd import Tensor, softmax, segment_softmax, segment_sum
+from ..autograd import Tensor, segment_softmax, segment_sum
 from ..kg.sampling import SubgraphLayer, SubgraphView
 from ..kg.sparse import edge_index
 from . import init
@@ -40,11 +31,8 @@ from .layers import DiagonalLinear
 
 __all__ = ["GATLayer", "GAT"]
 
-_MASK_VALUE = -1e9
-
-
 class GATLayer(Module):
-    """Single multi-head graph attention layer (dense or edge-list).
+    """Single multi-head graph attention layer over an edge list.
 
     Parameters
     ----------
@@ -82,30 +70,14 @@ class GATLayer(Module):
     def forward(self, features: Tensor, adjacency) -> Tensor:
         """Run attention over ``adjacency`` (self-loops are added).
 
-        A scipy sparse adjacency selects the edge-list formulation; a dense
-        array keeps the original masked-dense one; a
-        :class:`SubgraphLayer` runs the bipartite sampled formulation
-        (``features`` covering the layer's input nodes, the result its
-        output nodes).
+        The adjacency is taken in CSR form (see
+        :func:`~repro.kg.sparse.edge_index`); a :class:`SubgraphLayer`
+        runs the bipartite sampled formulation instead (``features``
+        covering the layer's input nodes, the result its output nodes).
         """
         if isinstance(adjacency, SubgraphLayer):
             return self._forward_bipartite(features, adjacency)
-        if sp.issparse(adjacency):
-            return self._forward_edges(features, adjacency)
-        return self._forward_dense(features, adjacency)
-
-    def _forward_dense(self, features: Tensor, adjacency: np.ndarray) -> Tensor:
-        mask = (np.asarray(adjacency) > 0) | np.eye(adjacency.shape[0], dtype=bool)
-        bias = np.where(mask, 0.0, _MASK_VALUE)
-        outputs = []
-        for head in range(self.num_heads):
-            transformed = features @ self._head_weight(head)
-            logits_src = transformed @ self._attn_src[head]          # (N, 1)
-            logits_dst = transformed @ self._attn_dst[head]          # (N, 1)
-            logits = (logits_src + logits_dst.T).leaky_relu(self.negative_slope)
-            attention = softmax(logits + Tensor(bias), axis=-1)
-            outputs.append(attention @ transformed)
-        return Tensor.concat(outputs, axis=-1)
+        return self._forward_edges(features, adjacency)
 
     def _forward_edges(self, features: Tensor, adjacency) -> Tensor:
         num_nodes = adjacency.shape[0]

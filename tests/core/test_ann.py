@@ -1,5 +1,7 @@
 """Unit tests for the approximate candidate-generation layer (repro.core.ann)."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -12,8 +14,10 @@ from repro.core.ann import (
     IVFWarmStart,
     RandomHyperplaneLSH,
     RowCandidates,
+    count_dot_products,
     flops_counter,
     generate_candidates,
+    paused_flops_counting,
     recall_at_k,
     resolve_ann,
 )
@@ -626,3 +630,72 @@ class TestIVFInsert:
         assert subsampled.num_inserted == 0
         assert np.array_equal(np.sort(subsampled.bucket_indices),
                               np.arange(len(target)))
+
+
+class TestFlopsCounterThreads:
+    """Counters are per thread: one thread's cells and pauses never reach
+    another thread's counters."""
+
+    @staticmethod
+    def _run(*targets):
+        errors = []
+
+        def guarded(target):
+            def run():
+                try:
+                    target()
+                except BaseException as error:  # surfaced in the main thread
+                    errors.append(error)
+            return run
+
+        threads = [threading.Thread(target=guarded(t)) for t in targets]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
+
+    def test_counters_see_only_their_own_thread(self):
+        both_open = threading.Barrier(2, timeout=10)
+        both_counted = threading.Barrier(2, timeout=10)
+        seen = {}
+
+        def worker(name, batches):
+            with flops_counter() as counter:
+                both_open.wait()
+                for cells in batches:
+                    count_dot_products(cells)
+                both_counted.wait()
+            seen[name] = counter.cells
+
+        self._run(lambda: worker("a", (3, 4)), lambda: worker("b", (100,)))
+        assert seen == {"a": 7, "b": 100}
+
+    def test_pause_detaches_only_the_calling_thread(self):
+        counter_open = threading.Event()
+        paused = threading.Event()
+        counted = threading.Event()
+        seen = {}
+
+        def counting():
+            with flops_counter() as counter:
+                counter_open.set()
+                assert paused.wait(10)
+                count_dot_products(5)
+                counted.set()
+            seen["counting"] = counter.cells
+
+        def pausing():
+            with flops_counter() as counter:
+                assert counter_open.wait(10)
+                with paused_flops_counting():
+                    paused.set()
+                    assert counted.wait(10)
+                    count_dot_products(11)
+                count_dot_products(2)
+            seen["pausing"] = counter.cells
+
+        self._run(counting, pausing)
+        assert seen == {"counting": 5, "pausing": 2}

@@ -8,11 +8,15 @@ exhaustive comparison so a failure localises to the sharding layer rather
 than the streaming engine.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
 from oracles import reference_topk
-from repro.core.ann import AnnConfig, flops_counter, generate_candidates
+from repro.core import sharded
+from repro.core.ann import (AnnConfig, count_dot_products, flops_counter,
+                            generate_candidates)
 from repro.core.sharded import (
     default_num_workers,
     scan_partials_parallel,
@@ -165,6 +169,42 @@ class TestFallback:
         assert np.array_equal(pooled.scores, fallback.scores)
         # The fallback must not double-count: the engine charges the merged
         # cells once, with per-shard counting paused.
+        assert counter.cells == fallback.computed_cells
+
+    def test_in_process_fallback_pauses_only_calling_thread(self, pair, monkeypatch):
+        """Another thread's counter keeps counting while the fallback pauses."""
+        import multiprocessing
+
+        source, target = pair
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods",
+                            lambda: ["spawn"])
+        in_fallback = threading.Event()
+        counted = threading.Event()
+        run_shard = sharded._run_shard
+
+        def gated_run_shard(bounds):
+            in_fallback.set()
+            assert counted.wait(10)
+            return run_shard(bounds)
+
+        monkeypatch.setattr(sharded, "_run_shard", gated_run_shard)
+        seen = {}
+
+        def other_thread():
+            with flops_counter() as counter:
+                assert in_fallback.wait(10)
+                count_dot_products(7)
+                counted.set()
+            seen["cells"] = counter.cells
+
+        thread = threading.Thread(target=other_thread)
+        thread.start()
+        with flops_counter() as counter:
+            fallback = blockwise_topk(source, target, k=5, block_size=16,
+                                      num_workers=4)
+        thread.join(timeout=30)
+        assert not thread.is_alive()
+        assert seen == {"cells": 7}
         assert counter.cells == fallback.computed_cells
 
     def test_fallback_reports_no_worker_rss(self, pair, monkeypatch):

@@ -89,8 +89,9 @@ class TestPrepareTask:
 
     def test_normalized_adjacency_rows_bounded(self, tiny_task):
         for side in (tiny_task.source, tiny_task.target):
-            assert np.all(side.normalized_adjacency >= 0)
-            assert side.normalized_adjacency.max() <= 1.0 + 1e-9
+            normalized = side.normalized_adjacency.toarray()
+            assert np.all(normalized >= 0)
+            assert normalized.max() <= 1.0 + 1e-9
 
     def test_name_passthrough(self, tiny_task, tiny_pair):
         assert tiny_task.name == tiny_pair.name

@@ -17,8 +17,7 @@ def incremental_spec(**decode_kwargs) -> PipelineSpec:
     decode_kwargs.setdefault("candidates", "ivf")
     decode_kwargs.setdefault("ann", AnnConfig(n_clusters=4, nprobe=2))
     return PipelineSpec(
-        data=DataSpec(dataset="FBDB15K", num_entities=80, backend="dense",
-                      seed=1),
+        data=DataSpec(dataset="FBDB15K", num_entities=80, seed=1),
         model=ModelSpec(name="DESAlign", hidden_dim=16, seed=2,
                         options={"propagation_iters": 2}),
         training=TrainingConfig(epochs=2, eval_every=0, seed=3),

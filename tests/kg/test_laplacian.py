@@ -26,7 +26,7 @@ def ring_adjacency():
 
 class TestNormalizedAdjacency:
     def test_symmetric(self, ring_adjacency):
-        normalised = normalized_adjacency(ring_adjacency)
+        normalised = normalized_adjacency(ring_adjacency).toarray()
         assert np.allclose(normalised, normalised.T)
 
     def test_rows_of_regular_graph_sum_to_one(self, ring_adjacency):
@@ -35,7 +35,7 @@ class TestNormalizedAdjacency:
 
     def test_handles_isolated_nodes_without_self_loops(self):
         adjacency = np.zeros((3, 3))
-        normalised = normalized_adjacency(adjacency, add_self_loops=False)
+        normalised = normalized_adjacency(adjacency, add_self_loops=False).toarray()
         assert np.allclose(normalised, 0.0)
 
     def test_rejects_non_square(self):
@@ -44,15 +44,15 @@ class TestNormalizedAdjacency:
 
     def test_accepts_sparse_input(self, ring_adjacency):
         import scipy.sparse as sp
-        dense = normalized_adjacency(ring_adjacency)
-        sparse = normalized_adjacency(sp.csr_matrix(ring_adjacency))
+        dense = normalized_adjacency(ring_adjacency).toarray()
+        sparse = normalized_adjacency(sp.csr_matrix(ring_adjacency)).toarray()
         assert np.allclose(dense, sparse)
 
 
 class TestLaplacian:
     def test_positive_semidefinite(self, ring_adjacency):
         laplacian = graph_laplacian(ring_adjacency)
-        eigenvalues = np.linalg.eigvalsh(laplacian)
+        eigenvalues = np.linalg.eigvalsh(laplacian.toarray())
         assert eigenvalues.min() > -1e-10
 
     def test_eigenvalues_in_zero_two(self, ring_adjacency):
@@ -147,7 +147,7 @@ class TestPartition:
         blocks = partition_laplacian(laplacian, [0, 1], [2, 3], [4, 5])
         assert blocks["cc"].shape == (2, 2)
         assert blocks["o1o2"].shape == (2, 2)
-        assert np.allclose(blocks["co1"], blocks["o1c"].T)
+        assert np.allclose(blocks["co1"].toarray(), blocks["o1c"].T.toarray())
 
     def test_rejects_incomplete_partition(self, ring_adjacency):
         laplacian = graph_laplacian(ring_adjacency)

@@ -5,7 +5,8 @@ import pytest
 import scipy.sparse as sp
 
 from repro.kg.sampling import NeighbourSampler, SubgraphView, attention_pattern
-from repro.kg.sparse import edge_index, normalized_adjacency_sparse
+from repro.kg.laplacian import normalized_adjacency
+from repro.kg.sparse import edge_index
 
 
 def _random_adjacency(n: int, density: float = 0.15, seed: int = 0) -> sp.csr_matrix:
@@ -35,7 +36,7 @@ class TestAttentionPattern:
 
 class TestFullNeighbourhood:
     def test_view_structure_and_nesting(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(30, seed=1))
+        matrix = normalized_adjacency(_random_adjacency(30, seed=1))
         sampler = NeighbourSampler(matrix, (None, None))
         assert sampler.is_full_neighbourhood()
         seeds = np.array([3, 7, 7, 1])  # duplicates + unsorted on purpose
@@ -48,7 +49,7 @@ class TestFullNeighbourhood:
             assert np.array_equal(outer, np.unique(outer))
 
     def test_blocks_equal_matrix_slices(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(30, seed=2))
+        matrix = normalized_adjacency(_random_adjacency(30, seed=2))
         view = NeighbourSampler(matrix, (None, None)).sample(np.arange(5))
         dense = matrix.toarray()
         for layer_index, layer in enumerate(view.layers):
@@ -60,7 +61,7 @@ class TestFullNeighbourhood:
             assert np.array_equal(src[layer.dst_in_src], dst)
 
     def test_edges_sorted_by_dst_then_src(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(40, seed=4))
+        matrix = normalized_adjacency(_random_adjacency(40, seed=4))
         view = NeighbourSampler(matrix, (None,)).sample(np.arange(0, 40, 3))
         layer = view.layers[0]
         order = np.lexsort((layer.edge_src, layer.edge_dst))
@@ -81,7 +82,7 @@ class TestSampledFanout:
             assert np.sum(sources != node) <= 3
 
     def test_rescaled_weights_are_unbiased(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(40, density=0.5, seed=7))
+        matrix = normalized_adjacency(_random_adjacency(40, density=0.5, seed=7))
         fanout = 4
         sampler = NeighbourSampler(matrix, (fanout,), seed=1, rescale=True)
         view = sampler.sample(np.arange(40))
@@ -117,13 +118,13 @@ class TestSampledFanout:
             for a, b in zip(first.node_layers, different.node_layers))
 
     def test_minus_one_means_full_neighbourhood(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(20, seed=9))
+        matrix = normalized_adjacency(_random_adjacency(20, seed=9))
         assert NeighbourSampler(matrix, (-1, None)).is_full_neighbourhood()
 
 
 class TestIdMaps:
     def test_round_trip_identity(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(30, seed=10))
+        matrix = normalized_adjacency(_random_adjacency(30, seed=10))
         view = NeighbourSampler(matrix, (2, 2), seed=0).sample(np.array([0, 4, 9]))
         for layer in range(len(view.node_layers)):
             locals_ = np.arange(len(view.node_layers[layer]))
@@ -132,13 +133,13 @@ class TestIdMaps:
             assert np.array_equal(round_trip, locals_)
 
     def test_global_to_local_rejects_absent_ids(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(30, seed=11))
+        matrix = normalized_adjacency(_random_adjacency(30, seed=11))
         view = NeighbourSampler(matrix, (None,)).sample(np.array([1, 2]))
         with pytest.raises(KeyError):
             view.global_to_local(np.array([29]))
 
     def test_scatter_rows(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(10, seed=12))
+        matrix = normalized_adjacency(_random_adjacency(10, seed=12))
         view = NeighbourSampler(matrix, (None,)).sample(np.array([2, 5]))
         out = np.zeros((10, 3))
         values = np.ones((view.num_seeds, 3))
@@ -149,7 +150,7 @@ class TestIdMaps:
 
 class TestValidation:
     def test_rejects_bad_fanouts_and_seeds(self):
-        matrix = normalized_adjacency_sparse(_random_adjacency(10, seed=13))
+        matrix = normalized_adjacency(_random_adjacency(10, seed=13))
         with pytest.raises(ValueError):
             NeighbourSampler(matrix, ())
         with pytest.raises(ValueError):

@@ -1,13 +1,25 @@
-"""Sparse/dense equivalence of the graph layers (GCN via spmm, edge-list GAT)."""
+"""CSR graph layers (GCN via spmm, edge-list GAT) against the dense oracles."""
+
+from unittest import mock
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from oracles import reference_gat_layer_forward, reference_spmm
 from repro.autograd import Tensor, check_gradients
 from repro.kg.laplacian import normalized_adjacency
-from repro.kg.sparse import normalized_adjacency_sparse
 from repro.nn import GAT, GATLayer, GCN, GCNLayer
+
+
+def _dense_gcn():
+    """Run GCN layers on the dense ``Ã @ X`` oracle instead of CSR spmm."""
+    return mock.patch("repro.nn.gcn.spmm", reference_spmm)
+
+
+def _dense_gat():
+    """Run GAT layers on the masked-dense attention oracle."""
+    return mock.patch.object(GATLayer, "forward", reference_gat_layer_forward)
 
 
 @pytest.fixture
@@ -35,17 +47,17 @@ def _parameter_grads(module):
 class TestGCNSparse:
     def test_forward_matches_dense(self, adjacency, features):
         gcn = GCN(8, 2, np.random.default_rng(0))
-        dense_norm = normalized_adjacency(adjacency)
-        sparse_norm = normalized_adjacency_sparse(sp.csr_matrix(adjacency))
-        out_dense = gcn(Tensor(features), dense_norm)
+        sparse_norm = normalized_adjacency(sp.csr_matrix(adjacency))
+        with _dense_gcn():
+            out_dense = gcn(Tensor(features), sparse_norm)
         out_sparse = gcn(Tensor(features), sparse_norm)
         assert np.allclose(out_dense.numpy(), out_sparse.numpy(), atol=1e-12)
 
     def test_gradients_match_dense(self, adjacency, features):
         gcn = GCN(8, 2, np.random.default_rng(0))
-        dense_norm = normalized_adjacency(adjacency)
-        sparse_norm = normalized_adjacency_sparse(sp.csr_matrix(adjacency))
-        (gcn(Tensor(features), dense_norm) ** 2.0).sum().backward()
+        sparse_norm = normalized_adjacency(sp.csr_matrix(adjacency))
+        with _dense_gcn():
+            (gcn(Tensor(features), sparse_norm) ** 2.0).sum().backward()
         grads_dense = _parameter_grads(gcn)
         for parameter in gcn.parameters():
             parameter.zero_grad()
@@ -55,7 +67,7 @@ class TestGCNSparse:
 
     def test_layer_gradcheck_through_spmm(self, adjacency, features):
         layer = GCNLayer(8, 4, np.random.default_rng(1))
-        sparse_norm = normalized_adjacency_sparse(sp.csr_matrix(adjacency))
+        sparse_norm = normalized_adjacency(sp.csr_matrix(adjacency))
         x = Tensor(features, requires_grad=True)
 
         def objective(inputs):
@@ -67,13 +79,14 @@ class TestGCNSparse:
 class TestGATSparse:
     def test_layer_forward_matches_dense(self, adjacency, features):
         layer = GATLayer(8, 8, 2, np.random.default_rng(2))
-        out_dense = layer(Tensor(features), adjacency)
+        out_dense = reference_gat_layer_forward(layer, Tensor(features), adjacency)
         out_sparse = layer(Tensor(features), sp.csr_matrix(adjacency))
         assert np.allclose(out_dense.numpy(), out_sparse.numpy(), atol=1e-9)
 
     def test_stack_forward_matches_dense(self, adjacency, features):
         gat = GAT(8, 2, 2, np.random.default_rng(5))
-        out_dense = gat(Tensor(features), adjacency)
+        with _dense_gat():
+            out_dense = gat(Tensor(features), adjacency)
         out_sparse = gat(Tensor(features), sp.csr_matrix(adjacency))
         assert np.allclose(out_dense.numpy(), out_sparse.numpy(), atol=1e-9)
 
@@ -81,7 +94,8 @@ class TestGATSparse:
         gat = GAT(8, 2, 2, np.random.default_rng(5))
         x_dense = Tensor(features, requires_grad=True)
         x_sparse = Tensor(features, requires_grad=True)
-        (gat(x_dense, adjacency) ** 2.0).sum().backward()
+        with _dense_gat():
+            (gat(x_dense, adjacency) ** 2.0).sum().backward()
         grads_dense = _parameter_grads(gat)
         for parameter in gat.parameters():
             parameter.zero_grad()

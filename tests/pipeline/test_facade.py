@@ -1,6 +1,8 @@
-"""AlignmentPipeline facade: lifecycle, caching, persistence, legacy parity."""
+"""AlignmentPipeline facade: lifecycle, caching, persistence, engine parity."""
 
+import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,9 +11,11 @@ from repro.core import ann as ann_module
 from repro.core.ann import AnnConfig
 from repro.core.config import DESAlignConfig, TrainingConfig
 from repro.core.model import DESAlign
+from repro.core.similarity import decode_similarity
 from repro.core.task import prepare_task
 from repro.core.trainer import Trainer
 from repro.data.benchmarks import load_benchmark
+from repro.eval.evaluator import Evaluator
 from repro.kg import AlignmentPair, KGPair
 from repro.pipeline import (
     Aligner,
@@ -36,6 +40,17 @@ def small_spec(**decode_kwargs) -> PipelineSpec:
 @pytest.fixture(scope="module")
 def fitted():
     return AlignmentPipeline.from_spec(small_spec()).fit()
+
+
+@pytest.fixture(scope="module")
+def tiny_task():
+    pair = load_benchmark("FBDB15K", seed_ratio=0.3, num_entities=36)
+    return prepare_task(pair, structure_dim=16, seed=0)
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tiny_task):
+    return DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
 
 
 class TestLifecycle:
@@ -162,7 +177,7 @@ class TestLegacyParity:
         aligner = AlignmentPipeline.from_spec(spec).fit()
 
         pair = load_benchmark("FBDB15K", seed_ratio=0.3, num_entities=40)
-        task = prepare_task(pair, structure_dim=16, seed=0, backend="dense")
+        task = prepare_task(pair, structure_dim=16, seed=0)
         model = DESAlign(task, DESAlignConfig(hidden_dim=16, seed=0,
                                               propagation_iters=2))
         result = Trainer(model, task, spec.training).fit()
@@ -176,7 +191,66 @@ class TestLegacyParity:
             aligner.evaluate()
 
 
+class TestEngineParity:
+    """The Trainer engine and ``decode_similarity`` over ``decode_states()``
+    agree with the facade and run warning-free."""
+
+    def test_trainer_result_equals_facade_result(self, tiny_task):
+        config = TrainingConfig(epochs=2, eval_every=0, seed=0)
+        model = DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
+        legacy = Trainer(model, tiny_task, config).fit()
+
+        spec = PipelineSpec(
+            data=DataSpec(dataset="custom", num_entities=36, seed=0),
+            model=ModelSpec(name="DESAlign", hidden_dim=16, seed=0),
+            training=config,
+        )
+        aligner = AlignmentPipeline.from_spec(spec).fit(tiny_task)
+        assert legacy.metrics == aligner.metrics
+
+    def test_default_similarity_call_does_not_warn(self, tiny_model):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            decode_similarity(*tiny_model.decode_states())
+
+    def test_evaluator_path_does_not_warn(self, tiny_task, tiny_model):
+        evaluator = Evaluator(tiny_task, decode="blockwise")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            evaluator.evaluate_model(tiny_model)
+
+    def test_legacy_similarity_equals_facade_decode(self, tiny_task):
+        spec = PipelineSpec(
+            data=DataSpec(dataset="custom", num_entities=36, seed=0),
+            model=ModelSpec(name="DESAlign", hidden_dim=16, seed=0),
+            training=TrainingConfig(epochs=1, eval_every=0, seed=0),
+            decode=DecodeSpec(decode="blockwise", k=5),
+        )
+        aligner = AlignmentPipeline.from_spec(spec).fit(tiny_task)
+        legacy = decode_similarity(*aligner.model.decode_states(),
+                                   decode="blockwise", k=5)
+        facade = aligner.topk()
+        assert np.array_equal(legacy.indices, facade.indices)
+        assert np.array_equal(legacy.scores, facade.scores)
+
+
 class TestPersistence:
+    def test_dense_backend_artifact_matches_sparse(self, fitted, tmp_path):
+        """An artifact whose spec carries the old ``data.backend="dense"``
+        default loads, re-evaluates and decodes exactly like a sparse one."""
+        assert fitted.spec.data.backend == "sparse"
+        dense_spec = fitted.spec.with_overrides(
+            data=replace(fitted.spec.data, backend="dense"))
+        dense = AlignmentPipeline.from_spec(dense_spec).fit()
+        assert dense.metrics == fitted.metrics
+        dense.save(tmp_path / "artifact")
+        payload = json.loads((tmp_path / "artifact" / "spec.json").read_text())
+        assert payload["spec"]["data"]["backend"] == "dense"
+        loaded = Aligner.load(tmp_path / "artifact")
+        assert loaded.spec.validate().data.backend == "dense"
+        assert np.array_equal(loaded.align().scores, fitted.align().scores)
+        assert loaded.evaluate() == fitted.metrics
+
     def test_save_load_decode_is_bit_identical(self, fitted, tmp_path):
         fitted.save(tmp_path / "artifact")
         loaded = Aligner.load(tmp_path / "artifact")

@@ -1,11 +1,18 @@
-"""Spec serialisation and validation: round-trips, golden files, rejections."""
+"""Spec serialisation and validation: round-trips, golden files, rejections,
+and the consolidated legality rules on every entry surface."""
 
+import json
 from pathlib import Path
 
 import pytest
 
 from repro.core.ann import AnnConfig
-from repro.core.config import TrainingConfig
+from repro.core.config import DESAlignConfig, TrainingConfig
+from repro.core.model import DESAlign
+from repro.core.similarity import decode_similarity
+from repro.core.task import prepare_task
+from repro.data.benchmarks import load_benchmark
+from repro.eval.evaluator import Evaluator
 from repro.pipeline import (
     AlignmentPipeline,
     DataSpec,
@@ -17,6 +24,17 @@ from repro.pipeline import (
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN_SPECS = sorted(GOLDEN_DIR.glob("*.json"))
+
+
+@pytest.fixture(scope="module")
+def tiny_task():
+    pair = load_benchmark("FBDB15K", seed_ratio=0.3, num_entities=36)
+    return prepare_task(pair, structure_dim=16, seed=0)
+
+
+@pytest.fixture(scope="module")
+def tiny_model(tiny_task):
+    return DESAlign(tiny_task, DESAlignConfig(hidden_dim=16, seed=0))
 
 
 class TestRoundTrip:
@@ -181,16 +199,6 @@ class TestValidation:
             PipelineSpec(model=ModelSpec(name="TransE"),
                          decode=DecodeSpec(encode="sampled")).validate()
 
-    def test_backend_mismatch_between_model_and_data(self):
-        with pytest.raises(ValueError, match="contradicts data backend"):
-            PipelineSpec(data=DataSpec(backend="sparse"),
-                         model=ModelSpec(options={"backend": "dense"})).validate()
-
-    def test_model_auto_backend_is_coherent(self):
-        spec = PipelineSpec(data=DataSpec(backend="sparse"),
-                            model=ModelSpec(options={"backend": "auto"}))
-        assert spec.validate() is spec
-
     def test_bad_vocabulary_rejected_at_construction(self):
         with pytest.raises(ValueError, match="backend"):
             DataSpec(backend="cuda")
@@ -220,3 +228,90 @@ class TestValidation:
         pipeline = AlignmentPipeline(PipelineSpec(data=DataSpec(dataset="custom")))
         with pytest.raises(ValueError, match="fit\\(pair"):
             pipeline.build_task()
+
+
+class TestBackendKey:
+    """``data.backend`` is a validated key that selects nothing."""
+
+    @staticmethod
+    def _spec(backend: str) -> PipelineSpec:
+        return PipelineSpec(
+            data=DataSpec(dataset="FBDB15K", num_entities=36, seed_ratio=0.3,
+                          backend=backend, seed=0),
+            model=ModelSpec(name="DESAlign", hidden_dim=16),
+            training=TrainingConfig(epochs=2, eval_every=0, seed=0),
+        )
+
+    def test_default_is_sparse(self):
+        assert DataSpec().backend == "sparse"
+
+    def test_dense_spec_file_loads_validates_and_fits_like_sparse(self, tmp_path):
+        path = tmp_path / "dense.json"
+        self._spec("dense").to_json_file(path)
+        assert json.loads(path.read_text())["data"]["backend"] == "dense"
+        loaded = PipelineSpec.from_json_file(path)
+        assert loaded.validate() is loaded
+        assert loaded.data.backend == "dense"
+        dense = AlignmentPipeline.from_spec(loaded).fit()
+        sparse = AlignmentPipeline.from_spec(self._spec("sparse")).fit()
+        assert dense.metrics == sparse.metrics
+
+    def test_unknown_backend_still_raises(self):
+        with pytest.raises(ValueError, match="backend must be one of"):
+            DataSpec(backend="cuda")
+        with pytest.raises(ValueError, match="backend"):
+            PipelineSpec.from_dict({"data": {"backend": "cuda"}})
+
+
+class TestConsolidatedRules:
+    """Each rejected combination, regression-tested on every entry surface."""
+
+    def test_training_config_rejects_iterative_lsh(self):
+        with pytest.raises(ValueError, match="LSH"):
+            TrainingConfig(iterative=True, candidates="lsh")
+
+    def test_training_config_rejects_patience_without_cadence(self):
+        with pytest.raises(ValueError, match="eval_every"):
+            TrainingConfig(early_stopping_patience=1, eval_every=0)
+
+    def test_training_config_rejects_unknown_candidates(self):
+        with pytest.raises(ValueError, match="candidate"):
+            TrainingConfig(candidates="faiss")
+
+    def test_training_config_rejects_unknown_sampling(self):
+        with pytest.raises(ValueError, match="sampling"):
+            TrainingConfig(sampling="layerwise")
+
+    def test_evaluator_rejects_csls_on_approximate_candidates(self, tiny_task):
+        with pytest.raises(ValueError, match="CSLS"):
+            Evaluator(tiny_task, ranking="csls", candidates="ivf")
+
+    def test_evaluator_rejects_dense_decode_with_candidates(self, tiny_task):
+        with pytest.raises(ValueError, match="incompatible with decode='dense'"):
+            Evaluator(tiny_task, decode="dense", candidates="lsh")
+
+    def test_model_similarity_rejects_dense_with_candidates(self, tiny_model):
+        with pytest.raises(ValueError, match="incompatible with decode='dense'"):
+            decode_similarity(*tiny_model.decode_states(), decode="dense",
+                              candidates="ivf")
+
+    def test_messages_are_identical_across_surfaces(self, tiny_task, tiny_model):
+        """The same rule produces byte-identical messages on every surface."""
+        def capture(callable_):
+            with pytest.raises(ValueError) as info:
+                callable_()
+            return str(info.value)
+
+        spec_csls = capture(lambda: PipelineSpec(
+            decode=DecodeSpec(ranking="csls", candidates="ivf")).validate())
+        evaluator_csls = capture(lambda: Evaluator(tiny_task, ranking="csls",
+                                                   candidates="ivf"))
+        assert spec_csls == evaluator_csls
+
+        spec_dense = capture(lambda: PipelineSpec(
+            decode=DecodeSpec(decode="dense", candidates="ivf")).validate())
+        evaluator_dense = capture(lambda: Evaluator(tiny_task, decode="dense",
+                                                    candidates="ivf"))
+        model_dense = capture(lambda: decode_similarity(
+            *tiny_model.decode_states(), decode="dense", candidates="ivf"))
+        assert spec_dense == evaluator_dense == model_dense

@@ -70,7 +70,7 @@ class TestSpectrum:
     def test_laplacian_eigenvalues_in_range(self, graph_and_features):
         adjacency, _ = graph_and_features
         laplacian = graph_laplacian(adjacency)
-        eigenvalues = np.linalg.eigvalsh(laplacian)
+        eigenvalues = np.linalg.eigvalsh(laplacian.toarray())
         assert eigenvalues.min() >= -1e-8
         assert largest_laplacian_eigenvalue(laplacian) <= 2.0 + 1e-8
 
@@ -79,7 +79,7 @@ class TestSpectrum:
     def test_normalized_adjacency_spectral_radius_at_most_one(self, graph_and_features):
         adjacency, _ = graph_and_features
         normalised = normalized_adjacency(adjacency)
-        eigenvalues = np.linalg.eigvalsh(normalised)
+        eigenvalues = np.linalg.eigvalsh(normalised.toarray())
         assert np.abs(eigenvalues).max() <= 1.0 + 1e-8
 
 

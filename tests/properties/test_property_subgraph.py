@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.autograd import Tensor
 from repro.kg.sampling import NeighbourSampler, attention_pattern
-from repro.kg.sparse import normalized_adjacency_sparse
+from repro.kg.laplacian import normalized_adjacency
 from repro.nn import GAT, GCN
 
 SETTINGS = settings(max_examples=25, deadline=None)
@@ -47,7 +47,7 @@ class TestFullFanoutEquivalence:
     def test_csr_block_aggregation_bit_equal(self, case):
         """The renumbered-block aggregation itself is bit-identical."""
         adjacency, features, seeds, _ = case
-        normalized = normalized_adjacency_sparse(adjacency)
+        normalized = normalized_adjacency(adjacency)
         full = np.asarray(normalized @ features)
         view = NeighbourSampler(normalized, (None,)).sample(seeds)
         sub = np.asarray(view.layers[0].csr_block() @ features[view.input_nodes])
@@ -58,7 +58,7 @@ class TestFullFanoutEquivalence:
     def test_gcn_forward_matches_full_graph(self, case):
         adjacency, features, seeds, seed = case
         dim = features.shape[1]
-        normalized = normalized_adjacency_sparse(adjacency)
+        normalized = normalized_adjacency(adjacency)
         gcn = GCN(dim, 2, np.random.default_rng(seed))
         full = gcn(Tensor(features), normalized).numpy()
         view = NeighbourSampler(normalized, (None, None)).sample(seeds)
@@ -83,7 +83,7 @@ class TestFullFanoutEquivalence:
         """Backward through the seed rows accumulates identical weight grads."""
         adjacency, features, seeds, seed = case
         dim = features.shape[1]
-        normalized = normalized_adjacency_sparse(adjacency)
+        normalized = normalized_adjacency(adjacency)
 
         gcn = GCN(dim, 2, np.random.default_rng(seed))
         full = gcn(Tensor(features), normalized)
